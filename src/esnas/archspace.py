@@ -37,7 +37,10 @@ class InvalidGenomeError(ValueError):
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        super().__init__(self.violations)  # args re-create it when unpickled
+
+    def __str__(self):
+        return "; ".join(self.violations)
 
 
 @dataclass

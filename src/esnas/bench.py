@@ -10,13 +10,17 @@ the package.  Two row layouts are accepted:
 from __future__ import annotations
 
 import csv
+import logging
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import archspace, metrics
+
+log = logging.getLogger("esnas")
 
 
 class CorrelationError(ValueError):
@@ -91,43 +95,60 @@ def spearman_rho(xs, ys):
     return float(np.sum(dx * dy)) / denom
 
 
+def _score_row(job):
+    """Parse and score one row: ``(score, None)``, or ``(None, reason)`` if it
+    fails, returned rather than raised so pool and serial runs agree."""
+    arch, metric_name, config, entropic_cfg, base_seed = job
+    try:
+        genome = arch if isinstance(arch, archspace.ArchGenome) \
+            else archspace.ArchGenome.from_json(arch)
+        report = metrics.score_genome(genome, config, entropic_cfg,
+                                      base_seed=base_seed)
+        return getattr(report, metric_name), None
+    except Exception as e:  # noqa: BLE001 - any failure skips just this row
+        return None, f"{type(e).__name__}: {e}"
+
+
 def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
-                        base_seed=0):
+                        base_seed=0, workers=1):
     """Correlate one metric against accuracy over the benchmark entries.
 
     Entries with a precomputed score for the metric are used directly;
-    otherwise the architecture is instantiated and scored.  Rows that can do
-    neither are skipped and counted.
+    otherwise the architecture is instantiated and scored, in a pool of
+    ``workers`` processes when ``workers > 1``.  Rows that can do neither are
+    skipped, counted and logged with their reason.  Pairs keep table order.
     """
     if not table:
         raise CorrelationError("benchmark table is empty")
-    scores, accs = [], []
-    skipped = 0
-    for entry in table:
+    jobs = [(e.arch, metric_name, config, entropic_cfg, base_seed)
+            for e in table if metric_name not in e.precomputed_scores]
+    if workers > 1 and jobs:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = iter(list(pool.map(_score_row, jobs)))
+    else:
+        results = map(_score_row, jobs)
+    pairs = []
+    for i, entry in enumerate(table):
         if metric_name in entry.precomputed_scores:
-            scores.append(float(entry.precomputed_scores[metric_name]))
-            accs.append(entry.accuracy)
-            continue
-        try:
-            genome = entry.arch
-            if not isinstance(genome, archspace.ArchGenome):
-                genome = archspace.ArchGenome.from_json(genome)
-            report = metrics.score_genome(genome, config,
-                                          entropic_cfg, base_seed=base_seed)
-            scores.append(getattr(report, metric_name))
-            accs.append(entry.accuracy)
-        except Exception:
-            skipped += 1
-    if len(scores) < 2:
+            score = float(entry.precomputed_scores[metric_name])
+        else:
+            score, reason = next(results)
+            if reason is not None:
+                log.warning("skipped benchmark row %d: %s", i + 1, reason)
+                continue
+        pairs.append((score, entry.accuracy))
+    skipped = len(table) - len(pairs)
+    if len(pairs) < 2:
         raise CorrelationError(
             f"fewer than 2 usable rows ({skipped} skipped)")
+    scores, accs = zip(*pairs)
     return CorrelationReport(
         metric_name=metric_name,
         kendall_tau=kendall_tau(scores, accs),
         spearman_rho=spearman_rho(scores, accs),
-        n=len(scores),
+        n=len(pairs),
         skipped_rows=skipped,
-    ), list(zip(scores, accs))
+    ), pairs
 
 
 def load_benchmark_csv(path):

@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -205,14 +204,6 @@ def cmd_search(args):
     return 0
 
 
-def _score_row(payload):
-    arch_json, metric_name, space_dict, seed = payload
-    genome = archspace.ArchGenome.from_json(arch_json)
-    space = archspace.SearchSpaceConfig.from_dict(space_dict)
-    report = metrics.score_genome(genome, space, base_seed=seed)
-    return getattr(report, metric_name)
-
-
 def cmd_correlate(args):
     try:
         entries = bench.load_benchmark_csv(args.bench)
@@ -221,24 +212,19 @@ def cmd_correlate(args):
     if args.sample:
         entries = bench.sample_entries(entries, args.sample, args.seed)
     space = _load_space(args.config) if args.config else None
-    need_scoring = [e for e in entries
-                    if args.metric not in e.precomputed_scores]
-    if need_scoring and space is None:
+    if space is None and any(args.metric not in e.precomputed_scores
+                             for e in entries):
         raise CliError(
             f"benchmark rows lack precomputed 'score_{args.metric}' values; "
             f"--config is required to instantiate architectures")
-    if need_scoring and args.workers > 1:
-        payloads = [(e.arch, args.metric, space.to_dict(), args.seed)
-                    for e in need_scoring]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for entry, score in zip(need_scoring, pool.map(_score_row, payloads)):
-                entry.precomputed_scores[args.metric] = score
     try:
         report, pairs = bench.correlate_benchmark(
-            entries, args.metric, config=space, base_seed=args.seed)
+            entries, args.metric, config=space, base_seed=args.seed,
+            workers=args.workers)
     except bench.CorrelationError as e:
         raise CliError("correlation failed", [str(e)])
     out_path = Path(args.out or "report.json")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter("correlate",
                               {"bench": str(args.bench), "metric": args.metric},
                               args.seed)
@@ -264,8 +250,6 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="scoring pool size; 1 forces serial execution")
 
     p = sub.add_parser("score", help="score one genome file")
     common(p)
@@ -295,6 +279,8 @@ def build_parser():
                    choices=["entropic", "logsynflow"])
     p.add_argument("--config", help="search-space JSON (needed to score rows)")
     p.add_argument("--sample", type=int, help="uniform row sample size")
+    p.add_argument("--workers", type=int, default=1,
+                   help="scoring pool size; 1 scores rows in this process")
     p.set_defaults(func=cmd_correlate)
 
     return parser

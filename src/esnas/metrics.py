@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,29 +45,16 @@ class ScoreReport:
     params: int
     macs: int
     seeds: list[int]
-    eval_millis: int
 
     def to_dict(self):
-        return {
-            "entropic": self.entropic,
-            "entropic_per_repeat": list(self.entropic_per_repeat),
-            "logsynflow": self.logsynflow,
-            "params": self.params,
-            "macs": self.macs,
-            "seeds": list(self.seeds),
-            "eval_millis": self.eval_millis,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, d):
-        return cls(entropic=d["entropic"],
-                   entropic_per_repeat=list(d["entropic_per_repeat"]),
-                   logsynflow=d["logsynflow"], params=d["params"],
-                   macs=d["macs"], seeds=list(d["seeds"]),
-                   eval_millis=d["eval_millis"])
+        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 def normalize_activations(tap, cfg):
@@ -153,20 +139,17 @@ def derive_seeds(genome, base_seed, n):
 def score_genome(genome, config, cfg=None, base_seed=0):
     """Full proxy report for one candidate; deterministic in (genome, base_seed)."""
     cfg = (cfg or EntropicConfig()).validate()
-    t0 = time.perf_counter()
     seeds = derive_seeds(genome, base_seed, cfg.repeats + 1)
     ent_seeds, graph_seed = seeds[:-1], seeds[-1]
     graph = netgraph.build_graph(genome, config, seed=graph_seed)
     entropic, per_repeat = entropic_score(graph, cfg, ent_seeds,
                                           return_per_repeat=True)
     lsf = logsynflow(graph)
-    report = ScoreReport(
+    return ScoreReport(
         entropic=entropic,
         entropic_per_repeat=per_repeat,
         logsynflow=lsf,
         params=netgraph.count_graph_params(graph),
         macs=netgraph.count_graph_macs(graph),
         seeds=seeds,
-        eval_millis=int((time.perf_counter() - t0) * 1000),
     )
-    return report

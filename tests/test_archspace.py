@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -276,3 +277,9 @@ class TestSerialization:
         gene = d["stages"][0][0]
         assert gene["type"] == "ffn"
         assert all(isinstance(v, (int, str)) for v in gene.values())
+
+    def test_invalid_genome_error_pickles(self):
+        err = archspace.InvalidGenomeError(["a bad", "b bad"])
+        again = pickle.loads(pickle.dumps(err))
+        assert again.violations == ["a bad", "b bad"]
+        assert str(again) == str(err) == "a bad; b bad"

@@ -176,6 +176,27 @@ class TestCorrelateBenchmark:
         assert report.n == 3
         assert report.skipped_rows == 1
 
+    def test_pool_matches_serial(self, tiny_config, caplog):
+        table = self.precomputed_table([1.0, 2.0], [10.0, 20.0])
+        for s in range(3):
+            table.insert(1, BenchmarkEntry(
+                arch=random_genome(tiny_config, s).to_json(),
+                accuracy=float(50 + s)))
+        table.insert(2, BenchmarkEntry(arch="not json", accuracy=50.0))
+        serial = correlate_benchmark(table, "entropic", config=tiny_config)
+        pooled = correlate_benchmark(table, "entropic", config=tiny_config,
+                                     workers=2)
+        assert serial == pooled
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped benchmark row 3: JSONDecodeError: "
+            "Expecting value: line 1 column 1 (char 0)"] * 2
+        report, pairs = pooled
+        assert report.skipped_rows == 1
+        assert [a for _, a in pairs] == [10.0, 52.0, 51.0, 50.0, 20.0]
+        # the table is read, not written
+        assert [e.precomputed_scores for e in table] == (
+            [{"entropic": 1.0}] + [{}] * 4 + [{"entropic": 2.0}])
+
     def test_empty_and_degenerate_tables(self):
         with pytest.raises(CorrelationError):
             correlate_benchmark([], "entropic")

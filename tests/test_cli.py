@@ -138,13 +138,8 @@ class TestSearch:
                                 "--budget-mode", "evals",
                                 "--seed", "5", "--out", str(d)], capsys)
             assert code == 0, err
-        for name in ("best_genome.json", "history.ndjson"):
+        for name in ("best_genome.json", "best_report.json", "history.ndjson"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
-        # the report matches apart from its wall-time bookkeeping field
-        reports = [json.loads((d / "best_report.json").read_text()) for d in dirs]
-        for r in reports:
-            r.pop("eval_millis")
-        assert reports[0] == reports[1]
 
     def test_evals_mode_rejects_wallclock_budgets(self, tmp_path, tiny_config,
                                                   capsys):
@@ -242,15 +237,21 @@ class TestCorrelate:
         assert json.loads(out)["n"] == 4
 
     def test_parallel_matches_serial(self, tmp_path, tiny_config, space_file,
-                                     capsys):
+                                     capsys, caplog):
+        genomes = [random_genome(tiny_config, s) for s in range(4)]
+        # row 3 parses, but kernel 7 is outside the space's domain
+        genomes.insert(2, archspace.ArchGenome(
+            stages=[[archspace.FfnGene("ibn", 8, 7, 2),
+                     archspace.FfnGene("ibn", 8, 3, 2)]]))
         rows = ["arch_json,accuracy"]
-        for s in range(4):
-            quoted = random_genome(tiny_config, s).to_json().replace('"', '""')
+        for s, g in enumerate(genomes):
+            quoted = g.to_json().replace('"', '""')
             rows.append(f'"{quoted}",{60.0 + s}')
         csv_path = tmp_path / "bench.csv"
         csv_path.write_text("\n".join(rows) + "\n")
         outs = []
         for workers, name in (("1", "serial"), ("2", "parallel")):
+            caplog.clear()
             out_path = tmp_path / name / "r.json"
             out_path.parent.mkdir()
             code, out, err = run(["correlate", "--bench", str(csv_path),
@@ -259,8 +260,26 @@ class TestCorrelate:
                                   "--workers", workers,
                                   "--out", str(out_path)], capsys)
             assert code == 0, err
+            assert json.loads(out)["skipped_rows"] == 1
+            assert json.loads(out)["n"] == 4
+            [warning] = [r.getMessage() for r in caplog.records
+                         if r.levelname == "WARNING"]
+            assert "row 3" in warning
+            assert "kernel 7 not in domain" in warning
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_out_parent_is_created(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("id,score_entropic,accuracy\n"
+                            "a,1.0,60.0\nb,2.0,70.0\n")
+        out_path = tmp_path / "new" / "dir" / "report.json"
+        code, _, err = run(["correlate", "--bench", str(csv_path),
+                            "--metric", "entropic",
+                            "--out", str(out_path)], capsys)
+        assert code == 0, err
+        assert json.loads(out_path.read_text())["n"] == 2
+        assert (out_path.parent / "scatter.csv").exists()
 
     def test_sample_flag(self, tmp_path, capsys):
         lines = ["id,score_entropic,accuracy"]
@@ -273,3 +292,15 @@ class TestCorrelate:
                               "--out", str(tmp_path / "r.json")], capsys)
         assert code == 0, err
         assert json.loads(out)["n"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--arch", "g.json", "--config", "s.json"],
+    ["stats", "--arch", "g.json", "--config", "s.json"],
+    ["search", "--config", "missing.json"],  # would exit at once if accepted
+])
+def test_workers_only_on_correlate(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

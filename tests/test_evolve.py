@@ -24,7 +24,7 @@ from conftest import enumerate_space
 def make_ind(entropic, birth, logsynflow=0.0):
     report = metrics.ScoreReport(
         entropic=entropic, entropic_per_repeat=[entropic],
-        logsynflow=logsynflow, params=1, macs=1, seeds=[0], eval_millis=0)
+        logsynflow=logsynflow, params=1, macs=1, seeds=[0])
     return Individual(genome=None, report=report, birth_step=birth)
 
 
