@@ -32,6 +32,7 @@ class BenchmarkEntry:
     arch: object = None  # ArchGenome or opaque descriptor
     accuracy: float = 0.0
     precomputed_scores: dict = field(default_factory=dict)
+    row: int | None = None  # CSV data-row number from 1; None: table position
 
 
 @dataclass
@@ -42,6 +43,7 @@ class CorrelationReport:
     n: int
     ties_policy: str = "tau-b / average-rank"
     skipped_rows: int = 0
+    skipped: list = field(default_factory=list)  # [{"row": n, "reason": s}]
 
     def to_dict(self):
         return {
@@ -51,6 +53,7 @@ class CorrelationReport:
             "n": self.n,
             "ties_policy": self.ties_policy,
             "skipped_rows": self.skipped_rows,
+            "skipped": list(self.skipped),
         }
 
 
@@ -116,7 +119,9 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     Entries with a precomputed score for the metric are used directly;
     otherwise the architecture is instantiated and scored, in a pool of
     ``workers`` processes when ``workers > 1``.  Rows that can do neither are
-    skipped, counted and logged with their reason.  Pairs keep table order.
+    skipped, counted, logged and listed in the report with their reason and
+    row number (the entry's CSV row, else its position in ``table`` from 1).
+    Pairs keep table order.
     """
     if not table:
         raise CorrelationError("benchmark table is empty")
@@ -127,27 +132,29 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
             results = iter(list(pool.map(_score_row, jobs)))
     else:
         results = map(_score_row, jobs)
-    pairs = []
+    pairs, skipped = [], []
     for i, entry in enumerate(table):
         if metric_name in entry.precomputed_scores:
             score = float(entry.precomputed_scores[metric_name])
         else:
             score, reason = next(results)
             if reason is not None:
-                log.warning("skipped benchmark row %d: %s", i + 1, reason)
+                row = i + 1 if entry.row is None else entry.row
+                log.warning("skipped benchmark row %d: %s", row, reason)
+                skipped.append({"row": row, "reason": reason})
                 continue
         pairs.append((score, entry.accuracy))
-    skipped = len(table) - len(pairs)
     if len(pairs) < 2:
         raise CorrelationError(
-            f"fewer than 2 usable rows ({skipped} skipped)")
+            f"fewer than 2 usable rows ({len(skipped)} skipped)")
     scores, accs = zip(*pairs)
     return CorrelationReport(
         metric_name=metric_name,
         kendall_tau=kendall_tau(scores, accs),
         spearman_rho=spearman_rho(scores, accs),
         n=len(pairs),
-        skipped_rows=skipped,
+        skipped_rows=len(skipped),
+        skipped=skipped,
     ), pairs
 
 
@@ -171,7 +178,7 @@ def load_benchmark_csv(path):
                    for c in score_cols if row.get(c) not in (None, "")}
             entries.append(BenchmarkEntry(
                 arch=row.get("arch_json"), accuracy=acc,
-                precomputed_scores=pre))
+                precomputed_scores=pre, row=i + 1))
     return entries
 
 

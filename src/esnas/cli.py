@@ -240,6 +240,16 @@ def cmd_correlate(args):
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="esnas",
@@ -279,7 +289,7 @@ def build_parser():
                    choices=["entropic", "logsynflow"])
     p.add_argument("--config", help="search-space JSON (needed to score rows)")
     p.add_argument("--sample", type=int, help="uniform row sample size")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="scoring pool size; 1 scores rows in this process")
     p.set_defaults(func=cmd_correlate)
 

@@ -115,11 +115,9 @@ def logsynflow(graph):
     R is the sum of the output elements under an all-ones input.
     """
     g = netgraph.prepare_for_scoring(graph)
-    out, _ = netgraph.forward(g, np.ones(g.input_shape))
-    r = float(out.sum())
-    if not np.isfinite(r):
+    out, grads = netgraph.backward_param_grads(g)
+    if not np.isfinite(float(out.sum())):
         raise FloatingPointError("non-finite scoring output sum")
-    grads = netgraph.backward_param_grads(g)
     score = 0.0
     for (nid, _, theta), grad in zip(g.iter_params(), grads):
         if not np.all(np.isfinite(grad)):

@@ -5,6 +5,13 @@ Graphs are flat topologically-ordered node lists over float64 numpy arrays
 supports forward evaluation with activation taps, a scoring-mode rewrite
 (normalisation suppressed, GELU -> ReLU, absolute weights), and reverse-mode
 gradients of the scalar sum of the output with respect to every parameter.
+
+Convolution kernels, forward and backward: a stride-1 1x1 conv is one
+(cout, cin) @ (cin, H*W) matmul; a stride-1 depthwise conv is k batched
+matmuls over channels, each multiplying the padded input rows by a banded
+matrix built from one kernel row; every other conv (the strided stem and
+downsamplers, other groupings) is an im2col window view times the weights,
+one matmul per group.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ class OpNode:
     params: list[np.ndarray] = field(default_factory=list)
     attrs: dict = field(default_factory=dict)
 
-    def copy(self):
-        return OpNode(self.kind, list(self.inputs),
-                      [p.copy() for p in self.params], dict(self.attrs))
+    def copy(self, copy_params=True):
+        params = [p.copy() for p in self.params] if copy_params \
+            else list(self.params)
+        return OpNode(self.kind, list(self.inputs), params, dict(self.attrs))
 
 
 @dataclass
@@ -56,8 +64,12 @@ class Graph:
     out_shapes: list[tuple]
     scoring_mode: bool = False
 
-    def copy(self):
-        return Graph([n.copy() for n in self.nodes], tuple(self.input_shape),
+    def copy(self, copy_params=True):
+        """Independent copy of the graph.  With ``copy_params=False`` the
+        nodes share the parameter arrays, for callers that replace every one
+        of them."""
+        return Graph([n.copy(copy_params) for n in self.nodes],
+                     tuple(self.input_shape),
                      self.output_id, list(self.activation_taps),
                      list(self.out_shapes), self.scoring_mode)
 
@@ -107,19 +119,78 @@ def _col2im(gcols, c, h, w, k, stride, pad):
     return gxp[:, pad:pad + h, pad:pad + w] if pad else gxp
 
 
+def _depthwise_band(w, width_in, width_out):
+    """Banded row matrices of a stride-1 depthwise kernel ``w`` (C, k, k).
+
+    ``band[c, i]`` is the (width_in, width_out) matrix with
+    ``band[c, i, j + jj, j] = w[c, i, jj]``, so a padded input row times it
+    is kernel row i's contribution to an output row.  Also returns the flat
+    positions of the band entries, (k, width_out), for reading diagonals.
+    """
+    c, k, _ = w.shape
+    j = np.arange(width_out)
+    idx = (np.arange(k)[:, None] + j) * width_out + j
+    band = np.zeros((c, k, width_in * width_out))
+    band[:, :, idx] = w[:, :, :, None]
+    return band.reshape(c, k, width_in, width_out), idx
+
+
+def _depthwise_forward(x, w, pad):
+    # k batched (Ho, Wp) @ (Wp, Wo) matmuls over channels, one per kernel row
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    k = w.shape[1]
+    ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
+    band, _ = _depthwise_band(w, xp.shape[2], wo)
+    out = xp[:, :ho] @ band[:, 0]
+    for i in range(1, k):
+        out += xp[:, i:i + ho] @ band[:, i]
+    return out
+
+
+def _depthwise_backward(x, w, pad, gout):
+    # gx through the transposed bands; gw[:, i] from the band diagonals of
+    # the padded rows' correlation with gout
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    c, k, _ = w.shape
+    ho, wo = gout.shape[1:]
+    band, idx = _depthwise_band(w, xp.shape[2], wo)
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for i in range(k):
+        gxp[:, i:i + ho] += gout @ band[:, i].transpose(0, 2, 1)
+        corr = xp[:, i:i + ho].transpose(0, 2, 1) @ gout
+        gw[:, i] = corr.reshape(c, -1)[:, idx].sum(axis=-1)
+    h, wd = x.shape[1:]
+    return gxp[:, pad:pad + h, pad:pad + wd], gw
+
+
+def _conv_path(node, cin):
+    """Kernel for a conv node: "pointwise" (stride-1 1x1, one matmul),
+    "depthwise" (stride-1, banded matmuls) or "im2col" (a window view and
+    one matmul per group)."""
+    a = node.attrs
+    if a["stride"] == 1:
+        if a["kernel"] == 1 and a["padding"] == 0 and a["groups"] == 1:
+            return "pointwise"
+        if a["groups"] == cin == node.params[0].shape[0]:
+            return "depthwise"
+    return "im2col"
+
+
 def _conv2d_forward(x, node):
     a = node.attrs
     k, stride, pad, groups = a["kernel"], a["stride"], a["padding"], a["groups"]
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
-    win, ho, wo = _im2col(x, k, stride, pad)
-    if groups == 1:
-        cols = win.transpose(0, 3, 4, 1, 2).reshape(cin * k * k, ho * wo)
-        out = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
-    elif groups == cin and w.shape[1] == 1 and cout == cin:
-        out = np.einsum("chwij,cij->chw", win, w[:, 0])
+    path = _conv_path(node, cin)
+    if path == "pointwise":
+        out = (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(
+            (cout,) + x.shape[1:])
+    elif path == "depthwise":
+        out = _depthwise_forward(x, w[:, 0], pad)
     else:
+        win, ho, wo = _im2col(x, k, stride, pad)
         out = np.empty((cout, ho, wo))
         cg, og = cin // groups, cout // groups
         for g in range(groups):
@@ -138,17 +209,17 @@ def _conv2d_backward(x, node, gout):
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
-    win, ho, wo = _im2col(x, k, stride, pad)
-    pgrads = []
-    if groups == 1:
-        cols = win.transpose(0, 3, 4, 1, 2).reshape(cin * k * k, ho * wo)
+    path = _conv_path(node, cin)
+    if path == "pointwise":
+        xflat = x.reshape(cin, -1)
         gflat = gout.reshape(cout, -1)
-        gw = (gflat @ cols.T).reshape(w.shape)
-        gcols = (w.reshape(cout, -1).T @ gflat).reshape(cin, k, k, ho, wo)
-    elif groups == cin and w.shape[1] == 1 and cout == cin:
-        gw = np.einsum("chwij,chw->cij", win, gout)[:, None]
-        gcols = np.einsum("chw,cij->cijhw", gout, w[:, 0])
+        gw = (gflat @ xflat.T).reshape(w.shape)
+        gx = (w.reshape(cout, cin).T @ gflat).reshape(x.shape)
+    elif path == "depthwise":
+        gx, gw = _depthwise_backward(x, w[:, 0], pad, gout)
+        gw = gw[:, None]
     else:
+        win, ho, wo = _im2col(x, k, stride, pad)
         gw = np.empty_like(w)
         gcols = np.empty((cin, k, k, ho, wo))
         cg, og = cin // groups, cout // groups
@@ -160,8 +231,8 @@ def _conv2d_backward(x, node, gout):
             gcols[g * cg:(g + 1) * cg] = (
                 w[g * og:(g + 1) * og].reshape(og, -1).T @ gflat
             ).reshape(cg, k, k, ho, wo)
-    gx = _col2im(gcols, cin, x.shape[1], x.shape[2], k, stride, pad)
-    pgrads.append(gw)
+        gx = _col2im(gcols, cin, x.shape[1], x.shape[2], k, stride, pad)
+    pgrads = [gw]
     if a["bias"]:
         pgrads.append(gout.sum(axis=(1, 2)))
     return [gx], pgrads
@@ -351,7 +422,8 @@ def forward(graph, x):
 def backward_param_grads(graph):
     """Gradients of R = sum(output) under an all-ones input, per parameter.
 
-    Returns a list of arrays aligned with graph.iter_params().
+    Returns ``(output, grads)``: the graph output under that input, from the
+    same forward pass, and a list of arrays aligned with graph.iter_params().
     """
     x = np.ones(graph.input_shape)
     vals = _forward_all(graph, x)
@@ -375,10 +447,10 @@ def backward_param_grads(graph):
                 node_grads[src] = ig.copy()
             else:
                 node_grads[src] += ig
-    out = []
-    for nid, node in enumerate(graph.nodes):
-        out.extend(pgrads[nid])
-    return out
+    grads = []
+    for nid in range(len(graph.nodes)):
+        grads.extend(pgrads[nid])
+    return vals[graph.output_id], grads
 
 
 def prepare_for_scoring(graph):
@@ -388,7 +460,7 @@ def prepare_for_scoring(graph):
     a row-sum-preserving scale, and every parameter value is replaced by its
     absolute value.  Idempotent.
     """
-    g = graph.copy()
+    g = graph.copy(copy_params=False)
     for nid, node in enumerate(g.nodes):
         if node.kind in NORM_KINDS:
             node.kind = "identity"
@@ -416,7 +488,7 @@ def reinit(graph, seed):
     float64 at any supported depth.
     """
     rng = np.random.default_rng(seed)
-    g = graph.copy()
+    g = graph.copy(copy_params=False)
     for node in g.nodes:
         if node.kind in ("conv2d", "linear"):
             bound = 1.0 / node.attrs["fan_in"]

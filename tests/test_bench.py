@@ -192,6 +192,9 @@ class TestCorrelateBenchmark:
             "Expecting value: line 1 column 1 (char 0)"] * 2
         report, pairs = pooled
         assert report.skipped_rows == 1
+        assert report.skipped == [{
+            "row": 3, "reason": "JSONDecodeError: "
+            "Expecting value: line 1 column 1 (char 0)"}]
         assert [a for _, a in pairs] == [10.0, 52.0, 51.0, 50.0, 20.0]
         # the table is read, not written
         assert [e.precomputed_scores for e in table] == (
@@ -211,7 +214,8 @@ class TestCorrelateBenchmark:
         assert d["metric_name"] == "entropic"
         assert d["ties_policy"] == "tau-b / average-rank"
         assert set(d) == {"metric_name", "kendall_tau", "spearman_rho", "n",
-                          "ties_policy", "skipped_rows"}
+                          "ties_policy", "skipped_rows", "skipped"}
+        assert d["skipped"] == []
 
 
 class TestCsvLoading:
@@ -222,6 +226,7 @@ class TestCsvLoading:
                      "b,2.5,,64.0\n")
         entries = load_benchmark_csv(p)
         assert len(entries) == 2
+        assert [e.row for e in entries] == [1, 2]
         assert entries[0].precomputed_scores == {"entropic": 1.5,
                                                  "logsynflow": 10.0}
         assert entries[1].precomputed_scores == {"entropic": 2.5}

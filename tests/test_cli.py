@@ -269,6 +269,53 @@ class TestCorrelate:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_skipped_rows_keep_csv_row_numbers(self, tmp_path, space_file,
+                                               capsys, caplog):
+        # data rows 3 and 8 fail to parse; --sample 6 keeps them at
+        # positions 2 and 6 of the sampled table
+        assert bench.sample_entries(list(range(12)), 6, 0) == [0, 2, 3, 4, 5, 7]
+        rows = ["arch_json,score_entropic,accuracy"]
+        for i in range(12):
+            rows.append("not json,,50.0" if i in (2, 7)
+                        else f",{float(i)},{50.0 + i}")
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        reports = []
+        for workers in ("1", "2"):
+            caplog.clear()
+            out_path = tmp_path / f"w{workers}" / "r.json"
+            code, out, err = run(["correlate", "--bench", str(csv_path),
+                                  "--metric", "entropic", "--sample", "6",
+                                  "--config", str(space_file),
+                                  "--workers", workers,
+                                  "--out", str(out_path)], capsys)
+            assert code == 0, err
+            warnings = [r.getMessage() for r in caplog.records
+                        if r.levelname == "WARNING"]
+            assert [w.split(":")[0] for w in warnings] == [
+                "skipped benchmark row 3", "skipped benchmark row 8"]
+            report = json.loads(out_path.read_text())
+            assert report["n"] == 4 and report["skipped_rows"] == 2
+            reason = "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
+            assert report["skipped"] == [{"row": 3, "reason": reason},
+                                         {"row": 8, "reason": reason}]
+            assert json.loads(out) == report
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, tmp_path, workers, capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("id,score_entropic,accuracy\n"
+                            "a,1.0,60.0\nb,2.0,70.0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["correlate", "--bench", str(csv_path),
+                      "--metric", "entropic", "--workers", workers,
+                      "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_out_parent_is_created(self, tmp_path, capsys):
         csv_path = tmp_path / "bench.csv"
         csv_path.write_text("id,score_entropic,accuracy\n"

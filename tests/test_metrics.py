@@ -231,6 +231,37 @@ class TestLogSynflow:
                                      attn_config, seed=s)
             assert logsynflow(g) >= 0.0
 
+    def test_single_forward_pass(self, attn_config, monkeypatch):
+        calls = []
+        forward_all = netgraph._forward_all
+
+        def counting(graph, x):
+            calls.append(graph)
+            return forward_all(graph, x)
+
+        monkeypatch.setattr(netgraph, "_forward_all", counting)
+        g = netgraph.build_graph(random_genome(attn_config, 0), attn_config,
+                                 seed=0)
+        logsynflow(g)
+        assert len(calls) == 1
+
+    def test_overflowing_output_raises(self):
+        # the weight gradients are finite; only the output sum overflows
+        g = linear_graph(np.full((1, 2), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                       match="output"):
+            logsynflow(g)
+
+
+# (entropic, logsynflow) of random_genome(default space at 64 px, seed),
+# recorded before the depthwise and 1x1 conv kernels were rewritten; a
+# kernel change may move them only by float64 summation order.
+PINNED_64PX = {
+    0: (4.148125989879057, 280.8743169649469),
+    1: (5.6045011860450344, 248.1908466583301),
+    2: (4.889875069161398, 210.0384043338519),
+}
+
 
 class TestScoreGenome:
     def test_report_mean_invariant(self, tiny_config):
@@ -255,6 +286,14 @@ class TestScoreGenome:
         rep = score_genome(random_genome(tiny_config, 3), tiny_config)
         again = ScoreReport.from_dict(rep.to_dict())
         assert again.to_json() == rep.to_json()
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_64PX))
+    def test_scores_pinned(self, seed):
+        space = SearchSpaceConfig(input_resolution=64).validate()
+        rep = score_genome(random_genome(space, seed), space)
+        entropic, lsf = PINNED_64PX[seed]
+        assert abs(rep.entropic - entropic) <= 1e-12 * entropic
+        assert abs(rep.logsynflow - lsf) <= 1e-12 * lsf
 
     def test_derive_seeds_pure(self, tiny_config):
         g = random_genome(tiny_config, 4)

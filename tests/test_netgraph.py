@@ -179,6 +179,29 @@ def make_graph(template, seed):
 # ---------------------------------------------------------------------------
 # forward
 
+# (k, stride, groups, cin, cout, hw, bias).  Stride-1 1x1 and depthwise
+# convs have their own kernels; the depthwise cases include maps smaller
+# than the kernel, as 32 px genomes give k=7 on 1x1 maps.
+CONV_CASES = [
+    (1, 1, 1, 3, 5, 6, True), (3, 1, 1, 2, 4, 6, True),
+    (3, 2, 1, 3, 3, 6, True), (3, 1, 4, 4, 4, 6, True),
+    (5, 2, 2, 4, 6, 6, True),
+    (1, 1, 1, 3, 5, 6, False), (1, 1, 1, 4, 2, 1, True),
+    (5, 1, 4, 4, 4, 6, True), (7, 1, 3, 3, 3, 6, True),
+    (3, 1, 4, 4, 4, 6, False), (7, 1, 3, 3, 3, 6, False),
+    (7, 1, 2, 2, 2, 1, True), (7, 1, 2, 2, 2, 2, False),
+    (3, 1, 3, 3, 3, 1, False), (5, 1, 3, 3, 3, 2, True),
+]
+
+
+def conv_case_id(case):
+    """k-stride-groups-cin-cout, then the map size and bias when they
+    differ from the 6x6-with-bias default."""
+    *dims, hw, bias = case
+    return "-".join(map(str, dims)) + ("" if hw == 6 else f"-{hw}px") + (
+        "" if bias else "-nobias")
+
+
 class TestForward:
     def test_linear_identity(self):
         g = linear_graph(np.eye(2), bias=np.zeros(2))
@@ -191,18 +214,19 @@ class TestForward:
         out, _ = forward(g, np.array([9.0, -4.0]))
         assert np.allclose(out, b)
 
-    @pytest.mark.parametrize("k,stride,groups,cin,cout", [
-        (1, 1, 1, 3, 5), (3, 1, 1, 2, 4), (3, 2, 1, 3, 3),
-        (3, 1, 4, 4, 4), (5, 2, 2, 4, 6),
-    ])
-    def test_conv_matches_naive_oracle(self, k, stride, groups, cin, cout):
-        b = _Builder((cin, 6, 6))
-        nid = b.conv(INPUT, cin, cout, k, stride=stride, groups=groups)
+    @pytest.mark.parametrize("k,stride,groups,cin,cout,hw,bias", CONV_CASES,
+                             ids=[conv_case_id(c) for c in CONV_CASES])
+    def test_conv_matches_naive_oracle(self, k, stride, groups, cin, cout, hw,
+                                       bias):
+        b = _Builder((cin, hw, hw))
+        nid = b.conv(INPUT, cin, cout, k, stride=stride, groups=groups,
+                     bias=bias)
         g = Graph(b.nodes, b.input_shape, nid, [], b.shapes)
         rand_params(g.nodes[0], 5)
-        x = rng.normal(0, 1, (cin, 6, 6))
+        x = rng.normal(0, 1, (cin, hw, hw))
         out, _ = forward(g, x)
-        ref = naive_conv2d(x, g.nodes[0].params[0], g.nodes[0].params[1],
+        ref = naive_conv2d(x, g.nodes[0].params[0],
+                           g.nodes[0].params[1] if bias else None,
                            stride, k // 2, groups)
         assert np.max(np.abs(out - ref)) < 1e-10
 
@@ -403,7 +427,7 @@ class TestBackward:
         g = prepare_for_scoring(linear_graph(np.array([[3.0, 4.0]])))
         out, _ = forward(g, np.ones(2))
         assert out[0] == 7.0
-        grads = backward_param_grads(g)
+        _, grads = backward_param_grads(g)
         assert np.allclose(grads[0], [[1.0, 1.0]])
 
     def test_dead_relu_path_zero_grad(self):
@@ -416,7 +440,7 @@ class TestBackward:
         w2 = b.emit("linear", [a1], [np.array([[5.0]])], (1,),
                     **{"in": 1, "out": 1, "bias": False, "fan_in": 1})
         g = Graph(b.nodes, b.input_shape, w2, [a1], b.shapes)
-        grads = backward_param_grads(g)
+        _, grads = backward_param_grads(g)
         assert np.array_equal(grads[0], [[0.0, 0.0]])  # upstream of dead relu
         assert np.array_equal(grads[1], [[0.0]])       # relu output is zero
 
@@ -424,12 +448,27 @@ class TestBackward:
     def test_gradients_match_finite_differences(self, template):
         for seed in range(4):
             g = make_graph(template, seed)
-            assert_grads_close(backward_param_grads(g), fd_param_grads(g))
+            assert_grads_close(backward_param_grads(g)[1], fd_param_grads(g))
+
+    @pytest.mark.parametrize("k,hw,bias", [
+        (3, 4, True), (5, 5, False), (7, 3, True), (7, 2, False), (7, 1, True),
+    ])
+    def test_pointwise_depthwise_gradients(self, k, hw, bias):
+        # the 1x1 node comes first, so its weight gradient checks the
+        # depthwise node's input gradient
+        c = 3
+        b = _Builder((2, hw, hw))
+        x = b.conv(INPUT, 2, c, 1, bias=bias)
+        x = b.conv(x, c, c, k, groups=c, bias=bias)
+        g = Graph(b.nodes, b.input_shape, x, [], b.shapes)
+        for i, node in enumerate(g.nodes):
+            rand_params(node, 70 + i)
+        assert_grads_close(backward_param_grads(g)[1], fd_param_grads(g))
 
     def test_scoring_graph_gradients(self, attn_config):
         genome = random_genome(attn_config, 1)
         g = prepare_for_scoring(build_graph(genome, attn_config, seed=0))
-        analytic = backward_param_grads(g)
+        _, analytic = backward_param_grads(g)
         numeric = fd_param_grads(g)
         assert_grads_close(analytic, numeric)
 
