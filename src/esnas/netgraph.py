@@ -6,12 +6,11 @@ supports forward evaluation with activation taps, a scoring-mode rewrite
 (normalisation suppressed, GELU -> ReLU, absolute weights), and reverse-mode
 gradients of the scalar sum of the output with respect to every parameter.
 
-Convolution kernels, forward and backward: a stride-1 1x1 conv is one
-(cout, cin) @ (cin, H*W) matmul; a stride-1 depthwise conv is k batched
-matmuls over channels, each multiplying the padded input rows by a banded
-matrix built from one kernel row; every other conv (the strided stem and
-downsamplers, other groupings) is an im2col window view times the weights,
-one matmul per group.
+Convolution kernels, forward and backward: a stride-1 depthwise conv is k
+batched matmuls over channels, each multiplying the padded input rows by a
+banded matrix built from one kernel row; every other conv (1x1, the strided
+stem and downsamplers, other groupings) is an im2col window view times the
+weights, one matmul per group.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ class OpNode:
     params: list[np.ndarray] = field(default_factory=list)
     attrs: dict = field(default_factory=dict)
 
-    def copy(self, copy_params=True):
-        params = [p.copy() for p in self.params] if copy_params \
-            else list(self.params)
-        return OpNode(self.kind, list(self.inputs), params, dict(self.attrs))
+    def copy(self):
+        return OpNode(self.kind, list(self.inputs), list(self.params),
+                      dict(self.attrs))
 
 
 @dataclass
@@ -64,11 +62,12 @@ class Graph:
     out_shapes: list[tuple]
     scoring_mode: bool = False
 
-    def copy(self, copy_params=True):
-        """Independent copy of the graph.  With ``copy_params=False`` the
-        nodes share the parameter arrays, for callers that replace every one
-        of them."""
-        return Graph([n.copy(copy_params) for n in self.nodes],
+    def copy(self):
+        """Copy of the graph structure; the nodes share the parameter arrays.
+
+        Every caller replaces parameter arrays rather than writing into them,
+        so the arrays themselves are never copied."""
+        return Graph([n.copy() for n in self.nodes],
                      tuple(self.input_shape),
                      self.output_id, list(self.activation_taps),
                      list(self.out_shapes), self.scoring_mode)
@@ -164,17 +163,11 @@ def _depthwise_backward(x, w, pad, gout):
     return gxp[:, pad:pad + h, pad:pad + wd], gw
 
 
-def _conv_path(node, cin):
-    """Kernel for a conv node: "pointwise" (stride-1 1x1, one matmul),
-    "depthwise" (stride-1, banded matmuls) or "im2col" (a window view and
-    one matmul per group)."""
+def _is_depthwise(node, cin):
+    """Whether a conv node takes the banded-matmul depthwise kernel rather
+    than im2col: stride 1 and one group per input and output channel."""
     a = node.attrs
-    if a["stride"] == 1:
-        if a["kernel"] == 1 and a["padding"] == 0 and a["groups"] == 1:
-            return "pointwise"
-        if a["groups"] == cin == node.params[0].shape[0]:
-            return "depthwise"
-    return "im2col"
+    return a["stride"] == 1 and a["groups"] == cin == node.params[0].shape[0]
 
 
 def _conv2d_forward(x, node):
@@ -183,11 +176,7 @@ def _conv2d_forward(x, node):
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
-    path = _conv_path(node, cin)
-    if path == "pointwise":
-        out = (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(
-            (cout,) + x.shape[1:])
-    elif path == "depthwise":
+    if _is_depthwise(node, cin):
         out = _depthwise_forward(x, w[:, 0], pad)
     else:
         win, ho, wo = _im2col(x, k, stride, pad)
@@ -209,13 +198,7 @@ def _conv2d_backward(x, node, gout):
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
-    path = _conv_path(node, cin)
-    if path == "pointwise":
-        xflat = x.reshape(cin, -1)
-        gflat = gout.reshape(cout, -1)
-        gw = (gflat @ xflat.T).reshape(w.shape)
-        gx = (w.reshape(cout, cin).T @ gflat).reshape(x.shape)
-    elif path == "depthwise":
+    if _is_depthwise(node, cin):
         gx, gw = _depthwise_backward(x, w[:, 0], pad, gout)
         gw = gw[:, None]
     else:
@@ -460,7 +443,7 @@ def prepare_for_scoring(graph):
     a row-sum-preserving scale, and every parameter value is replaced by its
     absolute value.  Idempotent.
     """
-    g = graph.copy(copy_params=False)
+    g = graph.copy()
     for nid, node in enumerate(g.nodes):
         if node.kind in NORM_KINDS:
             node.kind = "identity"
@@ -488,7 +471,7 @@ def reinit(graph, seed):
     float64 at any supported depth.
     """
     rng = np.random.default_rng(seed)
-    g = graph.copy(copy_params=False)
+    g = graph.copy()
     for node in g.nodes:
         if node.kind in ("conv2d", "linear"):
             bound = 1.0 / node.attrs["fan_in"]

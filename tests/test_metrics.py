@@ -254,8 +254,8 @@ class TestLogSynflow:
 
 
 # (entropic, logsynflow) of random_genome(default space at 64 px, seed),
-# recorded before the depthwise and 1x1 conv kernels were rewritten; a
-# kernel change may move them only by float64 summation order.
+# recorded before the depthwise conv kernel was rewritten; a kernel change
+# may move them only by float64 summation order.
 PINNED_64PX = {
     0: (4.148125989879057, 280.8743169649469),
     1: (5.6045011860450344, 248.1908466583301),

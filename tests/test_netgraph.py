@@ -179,9 +179,9 @@ def make_graph(template, seed):
 # ---------------------------------------------------------------------------
 # forward
 
-# (k, stride, groups, cin, cout, hw, bias).  Stride-1 1x1 and depthwise
-# convs have their own kernels; the depthwise cases include maps smaller
-# than the kernel, as 32 px genomes give k=7 on 1x1 maps.
+# (k, stride, groups, cin, cout, hw, bias).  Stride-1 depthwise convs have
+# their own kernel; its cases include maps smaller than the kernel, as
+# 32 px genomes give k=7 on 1x1 maps.
 CONV_CASES = [
     (1, 1, 1, 3, 5, 6, True), (3, 1, 1, 2, 4, 6, True),
     (3, 2, 1, 3, 3, 6, True), (3, 1, 4, 4, 4, 6, True),
