@@ -32,6 +32,17 @@ class ConfigError(ValueError):
     """Raised for an internally inconsistent SearchSpaceConfig."""
 
 
+def reject_unknown_keys(d, cls, section):
+    """Raise ConfigError naming every key of ``d`` that is not a field of the
+    dataclass ``cls``, so a misspelt config key fails instead of being
+    dropped for its default."""
+    known = list(cls.__dataclass_fields__)
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
+                          f"known keys: {', '.join(known)}")
+
+
 class InvalidGenomeError(ValueError):
     """Raised when an operation receives a genome that fails validation."""
 
@@ -154,8 +165,8 @@ class SearchSpaceConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in d.items() if k in known}
+        reject_unknown_keys(d, cls, "space")
+        kwargs = dict(d)
         if "attention_stages" in kwargs:
             kwargs["attention_stages"] = set(kwargs["attention_stages"])
         return cls(**kwargs).validate()
@@ -416,16 +427,17 @@ def crossover(parent_a, parent_b, config, seed):
 
 
 def count_params(genome, config):
-    """Exact scalar parameter count of the instantiated graph."""
+    """Exact scalar parameter count of the instantiated graph.
+
+    Counts on the weight-free graph structure, so no random number is drawn.
+    """
     from . import netgraph
 
-    g = netgraph.build_graph(genome, config, seed=0)
-    return netgraph.count_graph_params(g)
+    return netgraph.count_graph_params(netgraph.build_structure(genome, config))
 
 
 def count_macs(genome, config):
     """Multiply-accumulate count of one forward pass at the configured resolution."""
     from . import netgraph
 
-    g = netgraph.build_graph(genome, config, seed=0)
-    return netgraph.count_graph_macs(g)
+    return netgraph.count_graph_macs(netgraph.build_structure(genome, config))

@@ -135,9 +135,14 @@ def cmd_stats(args):
     return 0
 
 
+SEARCH_SECTIONS = {"space": archspace.SearchSpaceConfig,
+                   "schedule": evolve.SearchSchedule,
+                   "entropic": metrics.EntropicConfig}
+
+
 def _search_config(args):
     """Merge preset defaults, an optional config file and the budget mode."""
-    cfg = {"space": {}, "schedule": {}, "entropic": {}}
+    cfg = {name: {} for name in SEARCH_SECTIONS}
     if args.preset:
         p = PRESETS[args.preset]
         cfg["space"]["max_params"] = p["max_params"]
@@ -160,18 +165,30 @@ def _search_config(args):
                                  "amount": p["total_seconds"]},
             }
     if args.config:
-        cfg = _deep_merge(cfg, _load_json_file(args.config, "config"))
+        user = _load_json_file(args.config, "config")
+        if not isinstance(user, dict):
+            raise CliError(f"config file {args.config} must hold a JSON object")
+        cfg = _deep_merge(cfg, user)
     return cfg
 
 
 def cmd_search(args):
     cfg = _search_config(args)
-    try:
-        space = archspace.SearchSpaceConfig.from_dict(cfg.get("space", {}))
-        schedule = evolve.SearchSchedule.from_dict(cfg.get("schedule", {}))
-        ecfg = metrics.EntropicConfig.from_dict(cfg.get("entropic", {}))
-    except (archspace.ConfigError, ValueError, TypeError) as e:
-        raise CliError("invalid search configuration", [str(e)])
+    problems = []
+    unknown = [k for k in cfg if k not in SEARCH_SECTIONS]
+    if unknown:
+        problems.append(f"unknown top-level key(s) "
+                        f"{', '.join(map(repr, unknown))}; known keys: "
+                        f"{', '.join(SEARCH_SECTIONS)}")
+    parsed = {}
+    for name, cls in SEARCH_SECTIONS.items():
+        try:
+            parsed[name] = cls.from_dict(cfg[name])
+        except (ValueError, TypeError, AttributeError) as e:
+            problems.append(f"{name}: {e}")
+    if problems:
+        raise CliError("invalid search configuration", problems)
+    space, schedule, ecfg = parsed["space"], parsed["schedule"], parsed["entropic"]
     if args.budget_mode == "evals":
         for b in (schedule.multistart_budget, schedule.phase_budget,
                   schedule.total_budget):

@@ -9,6 +9,7 @@ alternates topology and size phases, each driven by its own metric
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -69,7 +70,8 @@ class Budget:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kind=d["kind"], amount=d["amount"]).validate()
+        archspace.reject_unknown_keys(d, cls, "budget")
+        return cls(**d).validate()
 
     def to_dict(self):
         return {"kind": self.kind, "amount": self.amount}
@@ -123,12 +125,25 @@ class SearchSchedule:
             raise ValueError("multistart_populations must be >= 1")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ValueError("crossover_prob must be in [0, 1]")
+        budgets = (self.multistart_budget, self.phase_budget, self.total_budget)
+        if all(b.kind == "evaluations" for b in budgets):
+            # each multi-start population but the last spends its whole
+            # multistart_budget; the last needs one evaluation to exist
+            need = ((self.multistart_populations - 1)
+                    * math.ceil(self.multistart_budget.amount) + 1)
+            if math.ceil(self.total_budget.amount) < need:
+                raise ValueError(
+                    f"total_budget of {self.total_budget.amount} evaluations "
+                    f"cannot give each of the {self.multistart_populations} "
+                    f"multi-start populations one evaluation: with a "
+                    f"multistart_budget of {self.multistart_budget.amount} "
+                    f"evaluations it must be at least {need}")
         return self
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in d.items() if k in known}
+        archspace.reject_unknown_keys(d, cls, "schedule")
+        kwargs = dict(d)
         for key in ("multistart_budget", "phase_budget", "total_budget"):
             if key in kwargs and isinstance(kwargs[key], dict):
                 kwargs[key] = Budget.from_dict(kwargs[key])

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import netgraph
+from . import archspace, netgraph
 from .archspace import genome_hash
 
 
@@ -33,8 +33,8 @@ class EntropicConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known}).validate()
+        archspace.reject_unknown_keys(d, cls, "entropic")
+        return cls(**d).validate()
 
 
 @dataclass
@@ -87,16 +87,18 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
     """Average over repeats of the summed per-tap entropy of a scoring pass.
 
     Each repeat re-initialises the weights and redraws the input from its own
-    seed; preparation (normalisation suppression, ReLU substitution, absolute
-    weights) is applied after re-initialisation.
+    seed.  The graph is prepared for scoring (normalisation suppression, ReLU
+    substitution, absolute weights) once, and each repeat re-initialises the
+    prepared graph, which equals preparing each re-initialised graph.
     """
     cfg.validate()
     if len(seeds) != cfg.repeats:
         raise ValueError(f"expected {cfg.repeats} seeds, got {len(seeds)}")
+    prepared = netgraph.prepare_for_scoring(graph)
     per_repeat = []
     for seed in seeds:
         wseed, xseed = np.random.SeedSequence(seed).spawn(2)
-        g = netgraph.prepare_for_scoring(netgraph.reinit(graph, wseed))
+        g = netgraph.reinit(prepared, wseed)
         x = np.random.default_rng(xseed).uniform(
             cfg.input_low, cfg.input_high, graph.input_shape)
         _, taps = netgraph.forward(g, x)
@@ -112,7 +114,8 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
 def logsynflow(graph):
     """Sum over parameters of |theta| * ln(1 + |dR/dtheta|) on the prepared graph.
 
-    R is the sum of the output elements under an all-ones input.
+    R is the sum of the output elements under an all-ones input.  The
+    prepared graph's parameters are already non-negative, so theta is |theta|.
     """
     g = netgraph.prepare_for_scoring(graph)
     out, grads = netgraph.backward_param_grads(g)
@@ -122,7 +125,10 @@ def logsynflow(graph):
     for (nid, _, theta), grad in zip(g.iter_params(), grads):
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient at node {nid}")
-        score += float(np.sum(np.abs(theta) * np.log1p(np.abs(grad))))
+        # grad is a fresh array from the backward pass: reuse its buffer
+        np.log1p(np.abs(grad, out=grad), out=grad)
+        grad *= theta
+        score += float(np.sum(grad))
     return score
 
 

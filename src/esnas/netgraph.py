@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 from .archspace import (
@@ -99,12 +99,26 @@ def _conv_out_hw(h, w, k, stride, pad):
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
 
+def _zero_pad(x, pads):
+    """``x`` zero-padded by ``pads``, one (before, after) pair per axis: what
+    ``np.pad`` does, without its per-call overhead."""
+    out = np.zeros(tuple(n + a + b for n, (a, b) in zip(x.shape, pads)))
+    out[tuple(slice(a, a + n) for n, (a, _) in zip(x.shape, pads))] = x
+    return out
+
+
+def _pad_hw(x, pad):
+    return _zero_pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
 def _im2col(x, k, stride, pad):
     c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = _pad_hw(x, pad)
     ho, wo = _conv_out_hw(h, w, k, stride, pad)
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    # win: (C, Ho, Wo, k, k)
+    sc, sh, sw = xp.strides
+    # win: (C, Ho, Wo, k, k), a read-only view of the padded input
+    win = as_strided(xp, (c, ho, wo, k, k),
+                     (sc, sh * stride, sw * stride, sh, sw), writeable=False)
     return win, ho, wo
 
 
@@ -136,7 +150,7 @@ def _depthwise_band(w, width_in, width_out):
 
 def _depthwise_forward(x, w, pad):
     # k batched (Ho, Wp) @ (Wp, Wo) matmuls over channels, one per kernel row
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = _pad_hw(x, pad)
     k = w.shape[1]
     ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     band, _ = _depthwise_band(w, xp.shape[2], wo)
@@ -149,7 +163,7 @@ def _depthwise_forward(x, w, pad):
 def _depthwise_backward(x, w, pad, gout):
     # gx through the transposed bands; gw[:, i] from the band diagonals of
     # the padded rows' correlation with gout
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = _pad_hw(x, pad)
     c, k, _ = w.shape
     ho, wo = gout.shape[1:]
     band, idx = _depthwise_band(w, xp.shape[2], wo)
@@ -285,7 +299,7 @@ def _node_forward(node, ins):
     if kind == "zeropad":
         c_from, c_to = node.attrs["from"], node.attrs["to"]
         pad = [(0, c_to - c_from)] + [(0, 0)] * (ins[0].ndim - 1)
-        return np.pad(ins[0], pad)
+        return _zero_pad(ins[0], pad)
     if kind == "avgpool":
         k, stride = node.attrs["k"], node.attrs["stride"]
         win, _, _ = _im2col(ins[0], k, stride, 0)
@@ -442,6 +456,12 @@ def prepare_for_scoring(graph):
     Normalisation nodes become identities, GELU becomes ReLU, softmax becomes
     a row-sum-preserving scale, and every parameter value is replaced by its
     absolute value.  Idempotent.
+
+    The rewrite commutes with ``reinit``: ``reinit(prepare_for_scoring(g), s)``
+    equals ``prepare_for_scoring(reinit(g, s))`` array for array, because
+    normalisation nodes draw nothing and conv and linear nodes draw in the
+    same order.  So a candidate is rewritten once and re-initialised per
+    entropic repeat.
     """
     g = graph.copy()
     for nid, node in enumerate(g.nodes):
@@ -461,8 +481,21 @@ def prepare_for_scoring(graph):
     return g
 
 
+def _uniform(rng, bound, shape):
+    """``rng.uniform(-bound, bound, shape)`` bit for bit, and the same draws:
+    numpy computes ``low + (high - low) * u`` from the same doubles ``u``."""
+    u = rng.random(shape)
+    u *= 2.0 * bound
+    u -= bound
+    return u
+
+
 def reinit(graph, seed):
     """Redraw all weights from U(-1/fan_in, +1/fan_in); returns a copy.
+
+    Conv and linear nodes draw in node order; normalisation nodes are reset
+    to unit scale and zero shift and draw nothing.  A scoring-mode graph gets
+    the absolute values of its draws.
 
     The reciprocal (rather than root-reciprocal) fan-in scaling keeps the
     absolute-weight scoring forward pass depth-stable: the expected gain of a
@@ -475,15 +508,15 @@ def reinit(graph, seed):
     for node in g.nodes:
         if node.kind in ("conv2d", "linear"):
             bound = 1.0 / node.attrs["fan_in"]
-            node.params[0] = rng.uniform(-bound, bound, node.params[0].shape)
+            node.params[0] = _uniform(rng, bound, node.params[0].shape)
             if node.attrs["bias"]:
-                node.params[1] = rng.uniform(-bound, bound, node.params[1].shape)
+                node.params[1] = _uniform(rng, bound, node.params[1].shape)
+            if g.scoring_mode:
+                for p in node.params:
+                    np.abs(p, out=p)
         elif node.kind == "batchnorm" or node.kind == "layernorm":
             node.params[0] = np.ones_like(node.params[0])
             node.params[1] = np.zeros_like(node.params[1])
-    if g.scoring_mode:
-        for node in g.nodes:
-            node.params = [np.abs(p) for p in node.params]
     return g
 
 
@@ -583,8 +616,14 @@ def _append_mhsa(b, src, cin, heads, head_dim):
     return b.emit("add", [src, proj], None, b.shape(src))
 
 
-def build_graph(genome, config, seed):
-    """Instantiate a genome as an executable graph with seeded weights."""
+def build_structure(genome, config):
+    """Validate a genome and lay out its graph without drawing weights.
+
+    Conv weights and biases are zero-filled and norms hold unit scale and
+    zero shift, so every node, shape and parameter count is final and no
+    random number is drawn: ``archspace.count_params`` and ``count_macs``
+    count on this.  ``build_graph`` adds the seeded weights.
+    """
     violations = validate(genome, config)
     if violations:
         raise InvalidGenomeError(violations)
@@ -609,9 +648,14 @@ def build_graph(genome, config, seed):
                                 gene.kernel_size, gene.expansion_ratio)
             cur = gene.out_channels
     taps = [i for i, n in enumerate(b.nodes) if n.kind in ACTIVATION_KINDS]
-    graph = Graph(nodes=b.nodes, input_shape=b.input_shape, output_id=x,
-                  activation_taps=taps, out_shapes=b.shapes)
-    return reinit(graph, seed)
+    return Graph(nodes=b.nodes, input_shape=b.input_shape, output_id=x,
+                 activation_taps=taps, out_shapes=b.shapes)
+
+
+def build_graph(genome, config, seed):
+    """Instantiate a genome as an executable graph with seeded weights:
+    ``reinit(build_structure(genome, config), seed)``."""
+    return reinit(build_structure(genome, config), seed)
 
 
 # ---------------------------------------------------------------------------

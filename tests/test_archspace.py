@@ -64,6 +64,10 @@ class TestConfig:
         assert again.to_dict() == cfg.to_dict()
         assert again.ref() == cfg.ref()
 
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ConfigError, match="'input_resolutoin'"):
+            SearchSpaceConfig.from_dict({"input_resolutoin": 32})
+
 
 class TestRandomGenome:
     def test_singleton_space_unique(self, singleton_config):
@@ -223,6 +227,21 @@ class TestCounting:
             enumerated = sum(np.prod(shape) for entry in graph.dump()
                              for shape in entry["param_shapes"])
             assert archspace.count_params(g, attn_config) == enumerated
+
+    def test_count_params_draws_nothing(self, attn_config, monkeypatch):
+        genomes = [random_genome(attn_config, s) for s in range(10)]
+        enumerated = [netgraph.count_graph_params(
+            netgraph.build_graph(g, attn_config, seed=0)) for g in genomes]
+        macs = [archspace.count_macs(g, attn_config) for g in genomes]
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("counting drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(netgraph, "reinit", no_draws)
+        assert [archspace.count_params(g, attn_config)
+                for g in genomes] == enumerated
+        assert [archspace.count_macs(g, attn_config) for g in genomes] == macs
 
     def test_macs_pointwise_conv(self):
         b = netgraph._Builder((8, 4, 4))

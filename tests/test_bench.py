@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from esnas import bench
 from esnas.archspace import random_genome
@@ -88,6 +90,20 @@ class TestKendall:
             kendall_tau([1, 2], [1, 2, 3])
         with pytest.raises(CorrelationError):
             kendall_tau([1], [2])
+
+    def test_nas_bench_201_sized_table(self):
+        # 15,625 rows with ties in both columns, as in a real table; counting
+        # every pair would build two 15,625 x 15,625 sign matrices
+        r = np.random.default_rng(201)
+        xs = np.round(r.normal(0, 1, 15_625), 3)
+        ys = np.round(r.uniform(40, 95, 15_625), 2)
+        t0 = time.perf_counter()
+        tau = kendall_tau(xs, ys)
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(tau - stats.kendalltau(xs, ys)[0]) < 1e-12
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(kendall_tau([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
 
 
 class TestSpearman:

@@ -154,6 +154,33 @@ class TestSearch:
         assert code == 2
         assert "evaluation budgets" in json.loads(err)["error"]["message"]
 
+    def test_config_typos_exit_2_naming_each_key(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "space": {"input_resolutoin": 32},
+            "schedule": {"phase_budgets": {"kind": "evaluations", "amount": 3}},
+            "entropic": {"repeat": 2},
+            "schedul": {}}))
+        code, out, err = run(["search", "--preset", "S0", "--budget-mode",
+                              "evals", "--config", str(p),
+                              "--out", str(tmp_path / "x")], capsys)
+        assert code == 2 and out == ""
+        details = " ".join(json.loads(err)["error"]["details"])
+        for key in ("input_resolutoin", "phase_budgets", "repeat", "schedul"):
+            assert f"'{key}'" in details
+        assert not (tmp_path / "x").exists()
+
+    def test_evaluation_budget_too_small_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"schedule": {"total_budget": {
+            "kind": "evaluations", "amount": 3}}}))
+        code, _, err = run(["search", "--preset", "S0", "--budget-mode",
+                            "evals", "--config", str(p),
+                            "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        details = " ".join(json.loads(err)["error"]["details"])
+        assert "total_budget" in details and "multistart_budget" in details
+
     def test_preset_sets_param_cap(self, tmp_path, tiny_config, capsys):
         # Preset fixes budgets and max_params; the config file narrows the
         # space so the run stays fast.  The preset cap must survive the merge.

@@ -83,6 +83,10 @@ class TestBudget:
         b = Budget("wallclock_seconds", 30.0)
         assert Budget.from_dict(b.to_dict()) == b
 
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="'amout'"):
+            Budget.from_dict({"kind": "evaluations", "amout": 3})
+
 
 class TestSchedule:
     def test_defaults_match_stage_doubling(self):
@@ -109,6 +113,32 @@ class TestSchedule:
         assert s.phase_budget == Budget("evaluations", 9)
         assert s.tournament_size == 4
         assert SearchSchedule.from_dict(s.to_dict()) == s
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="'phase_budgets', 'seed'"):
+            SearchSchedule.from_dict({"phase_budgets": {}, "seed": 1,
+                                      "tournament_size": 4})
+
+    @staticmethod
+    def eval_schedule(populations, per_population, total):
+        return SearchSchedule(
+            multistart_populations=populations,
+            multistart_budget=Budget("evaluations", per_population),
+            phase_budget=Budget("evaluations", 4),
+            total_budget=Budget("evaluations", total),
+            multistart_population_size=3, multistart_tournament_size=2,
+            population_size=4, tournament_size=2)
+
+    def test_total_must_seed_every_multistart_population(self, tiny_config):
+        # two populations of 3 evaluations: the second starts at evaluation 4
+        with pytest.raises(ValueError, match="total_budget.*multistart_budget"):
+            self.eval_schedule(2, 3, 3).validate()
+        with pytest.raises(ValueError, match="at least 4"):
+            self.eval_schedule(2, 2.5, 2.9).validate()
+        best, _ = cyclic_search(tiny_config, self.eval_schedule(2, 3, 4), 0)
+        assert best.birth_step == 4
+        # wall-clock budgets cannot be checked ahead of the run
+        SearchSchedule(total_budget=Budget("wallclock_seconds", 1)).validate()
 
 
 class TestPopulation:

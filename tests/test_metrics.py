@@ -153,6 +153,20 @@ class TestEntropicScore:
             per_repeat.append(math.fsum(terms))
         assert abs(score - sum(per_repeat) / len(per_repeat)) < 1e-9
 
+    def test_prepares_once(self, attn_config, monkeypatch):
+        calls = []
+        prepare = netgraph.prepare_for_scoring
+
+        def counting(graph):
+            calls.append(graph)
+            return prepare(graph)
+
+        monkeypatch.setattr(netgraph, "prepare_for_scoring", counting)
+        g = netgraph.build_graph(random_genome(attn_config, 0), attn_config,
+                                 seed=0)
+        entropic_score(g, EntropicConfig(), [1, 2, 3])
+        assert len(calls) == 1
+
     def test_scale_invariance_of_tap_entropy(self):
         """Multiplying one layer's weights rescales its taps but leaves the
         normalised activations, and hence the summed entropy, unchanged."""
@@ -286,6 +300,9 @@ class TestScoreGenome:
         rep = score_genome(random_genome(tiny_config, 3), tiny_config)
         again = ScoreReport.from_dict(rep.to_dict())
         assert again.to_json() == rep.to_json()
+        # reports written before eval_millis was dropped still load
+        old = ScoreReport.from_dict({**rep.to_dict(), "eval_millis": 12.5})
+        assert old.to_json() == rep.to_json()
 
     @pytest.mark.parametrize("seed", sorted(PINNED_64PX))
     def test_scores_pinned(self, seed):
@@ -314,6 +331,8 @@ class TestEntropicConfig:
         with pytest.raises(ValueError):
             EntropicConfig(norm_axis="bogus").validate()
 
-    def test_from_dict_ignores_unknown_keys(self):
-        cfg = EntropicConfig.from_dict({"epsilon": 1e-6, "mystery": 1})
-        assert cfg.epsilon == 1e-6
+    def test_from_dict_rejects_unknown_keys(self):
+        assert EntropicConfig.from_dict({"epsilon": 1e-6}).epsilon == 1e-6
+        with pytest.raises(ValueError, match="'mystery', 'repeat'"):
+            EntropicConfig.from_dict({"epsilon": 1e-6, "mystery": 1,
+                                      "repeat": 2})

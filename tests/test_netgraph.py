@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from esnas import netgraph
-from esnas.archspace import AttnGene, FfnGene, random_genome
+from esnas.archspace import AttnGene, FfnGene, SearchSpaceConfig, random_genome
 from esnas.netgraph import (
     INPUT,
     Graph,
@@ -491,6 +491,41 @@ class TestReinit:
         g1, g2 = reinit(graph, 1), reinit(graph, 2)
         assert any(not np.array_equal(a, b) for (_, _, a), (_, _, b)
                    in zip(g1.iter_params(), g2.iter_params()))
+
+    @pytest.mark.parametrize("bound", [1.0, 1 / 3, 1 / 27, 1 / 1152, 0.7, 1e-300])
+    def test_uniform_draw_matches_numpy(self, bound):
+        for shape in [(), (1,), (7,), (5, 3), (4, 1, 3, 3), (96, 1, 7, 7)]:
+            r1, r2 = np.random.default_rng(99), np.random.default_rng(99)
+            a = netgraph._uniform(r1, bound, shape)
+            b = r2.uniform(-bound, bound, shape)
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_commutes_with_prepare(self):
+        # default-space genomes that hold attention, at a small resolution
+        cfg = SearchSpaceConfig(input_resolution=32).validate()
+        checked = 0
+        for s in range(40):
+            genome = random_genome(cfg, s)
+            if not any(isinstance(g, AttnGene) for _, _, g in genome.blocks()):
+                continue
+            graph = build_graph(genome, cfg, seed=s)
+            a = reinit(prepare_for_scoring(graph), 1000 + s)
+            b = prepare_for_scoring(reinit(graph, 1000 + s))
+            assert [n.kind for n in a.nodes] == [n.kind for n in b.nodes]
+            assert [n.attrs for n in a.nodes] == [n.attrs for n in b.nodes]
+            assert a.activation_taps == b.activation_taps
+            assert a.scoring_mode and b.scoring_mode
+            pa, pb = list(a.iter_params()), list(b.iter_params())
+            assert len(pa) == len(pb)
+            for (na, ia, x), (nb, ib, y) in zip(pa, pb):
+                assert (na, ia) == (nb, ib)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            checked += 1
+            if checked == 3:
+                return
+        pytest.fail("fewer than 3 attention genomes drawn")
 
 
 class TestDump:
