@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -146,22 +146,10 @@ class SearchSpaceConfig:
         return self
 
     def to_dict(self):
-        return {
-            "num_stages": self.num_stages,
-            "blocks_per_stage": list(self.blocks_per_stage),
-            "attention_stages": sorted(self.attention_stages),
-            "stem_channels": self.stem_channels,
-            "channel_domain": [list(d) for d in self.channel_domain],
-            "kernel_domain": list(self.kernel_domain),
-            "expansion_domain": list(self.expansion_domain),
-            "heads_domain": list(self.heads_domain),
-            "head_dim_domain": list(self.head_dim_domain),
-            "ffn_types": list(self.ffn_types),
-            "attention_probability": self.attention_probability,
-            "input_resolution": self.input_resolution,
-            "input_channels": self.input_channels,
-            "max_params": self.max_params,
-        }
+        # field order is the key order that ref() hashes
+        d = asdict(self)
+        d["attention_stages"] = sorted(self.attention_stages)
+        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -187,13 +175,7 @@ class FfnGene:
     kind = "ffn"
 
     def to_dict(self):
-        return {
-            "type": "ffn",
-            "ffn_type": self.ffn_type,
-            "out_channels": self.out_channels,
-            "kernel_size": self.kernel_size,
-            "expansion_ratio": self.expansion_ratio,
-        }
+        return {"type": self.kind, **asdict(self)}
 
 
 @dataclass
@@ -209,14 +191,10 @@ class AttnGene:
     kind = "attn"
 
     def to_dict(self):
-        return {
-            "type": "attn",
-            "ffn_type": self.ffn_type,
-            "out_channels": self.out_channels,
-            "expansion_ratio": self.expansion_ratio,
-            "num_heads": self.num_heads,
-            "head_dim": self.head_dim,
-        }
+        return {"type": self.kind, **asdict(self)}
+
+
+GENE_TYPES = {cls.kind: cls for cls in (FfnGene, AttnGene)}
 
 
 @dataclass
@@ -242,21 +220,14 @@ class ArchGenome:
 
     @classmethod
     def from_dict(cls, d):
-        stages = []
-        for stage in d["stages"]:
-            genes = []
-            for g in stage:
-                if g["type"] == "ffn":
-                    genes.append(FfnGene(g["ffn_type"], g["out_channels"],
-                                         g["kernel_size"], g["expansion_ratio"]))
-                elif g["type"] == "attn":
-                    genes.append(AttnGene(g["ffn_type"], g["out_channels"],
-                                          g["expansion_ratio"], g["num_heads"],
-                                          g["head_dim"]))
-                else:
-                    raise ValueError(f"unknown gene type {g['type']!r}")
-            stages.append(genes)
-        return cls(stages=stages, config_ref=d.get("config_ref", ""))
+        def gene(g):
+            gene_cls = GENE_TYPES.get(g["type"])
+            if gene_cls is None:
+                raise ValueError(f"unknown gene type {g['type']!r}")
+            return gene_cls(**{f: g[f] for f in gene_cls.__dataclass_fields__})
+
+        return cls(stages=[[gene(g) for g in stage] for stage in d["stages"]],
+                   config_ref=d.get("config_ref", ""))
 
     @classmethod
     def from_json(cls, s):

@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -46,15 +46,7 @@ class CorrelationReport:
     skipped: list = field(default_factory=list)  # [{"row": n, "reason": s}]
 
     def to_dict(self):
-        return {
-            "metric_name": self.metric_name,
-            "kendall_tau": self.kendall_tau,
-            "spearman_rho": self.spearman_rho,
-            "n": self.n,
-            "ties_policy": self.ties_policy,
-            "skipped_rows": self.skipped_rows,
-            "skipped": list(self.skipped),
-        }
+        return asdict(self)
 
 
 def _check_vectors(xs, ys):

@@ -19,7 +19,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, archspace, bench, evolve, metrics
+from . import __version__, archspace, bench, evolve, metrics, netgraph
 
 log = logging.getLogger("esnas")
 
@@ -81,7 +81,7 @@ def _load_genome(path):
     d = _load_json_file(path, "genome")
     try:
         return archspace.ArchGenome.from_dict(d)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError) as e:
         raise CliError(f"invalid genome file {path}", [str(e)])
 
 
@@ -110,9 +110,6 @@ class ManifestWriter:
 def cmd_score(args):
     space = _load_space(args.config)
     genome = _load_genome(args.arch)
-    violations = archspace.validate(genome, space)
-    if violations:
-        raise CliError("genome fails validation", violations)
     report = metrics.score_genome(genome, space, base_seed=args.seed)
     text = report.to_json()
     if args.out:
@@ -123,13 +120,10 @@ def cmd_score(args):
 
 def cmd_stats(args):
     space = _load_space(args.config)
-    genome = _load_genome(args.arch)
-    violations = archspace.validate(genome, space)
-    if violations:
-        raise CliError("genome fails validation", violations)
+    structure = netgraph.build_structure(_load_genome(args.arch), space)
     out = {
-        "params": archspace.count_params(genome, space),
-        "macs": archspace.count_macs(genome, space),
+        "params": netgraph.count_graph_params(structure),
+        "macs": netgraph.count_graph_macs(structure),
     }
     print(canonical_json(out))
     return 0
@@ -305,12 +299,19 @@ def build_parser():
     p.add_argument("--metric", required=True,
                    choices=["entropic", "logsynflow"])
     p.add_argument("--config", help="search-space JSON (needed to score rows)")
-    p.add_argument("--sample", type=int, help="uniform row sample size")
+    p.add_argument("--sample", type=_positive_int,
+                   help="uniform row sample size")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="scoring pool size; 1 scores rows in this process")
     p.set_defaults(func=cmd_correlate)
 
     return parser
+
+
+def _error(message, details, code):
+    print(json.dumps({"error": {"message": message, "details": details}}),
+          file=sys.stderr)
+    return code
 
 
 def main(argv=None):
@@ -322,14 +323,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except CliError as e:
-        print(json.dumps({"error": {"message": str(e), "details": e.details}}),
-              file=sys.stderr)
-        return 2
+        return _error(str(e), e.details, 2)
+    except archspace.InvalidGenomeError as e:
+        # build_structure's validation is the one check of a genome
+        return _error("genome fails validation", e.violations, 2)
     except Exception as e:  # noqa: BLE001 - report, keep machine-readable
         log.exception("internal error")
-        print(json.dumps({"error": {"message": f"internal error: {e}",
-                                    "details": []}}), file=sys.stderr)
-        return 1
+        return _error(f"internal error: {e}", [], 1)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,12 @@ from . import archspace, metrics
 from .archspace import PHASE_SIZE, PHASE_TOPOLOGY
 
 METRIC_FOR_PHASE = {PHASE_TOPOLOGY: "entropic", PHASE_SIZE: "logsynflow"}
+
+
+def ranking(metric_name):
+    """Sort key of the aging tournament: higher metric first, and on a tie
+    the younger individual (later birth step) wins."""
+    return lambda m: (m.metric(metric_name), m.birth_step)
 
 
 @dataclass
@@ -46,14 +52,10 @@ class Population:
         return len(self.members)
 
     def best(self, metric_name):
-        return max(self.members,
-                   key=lambda m: (m.metric(metric_name), m.birth_step))
+        return max(self.members, key=ranking(metric_name))
 
     def top(self, metric_name, n):
-        ranked = sorted(self.members,
-                        key=lambda m: (m.metric(metric_name), m.birth_step),
-                        reverse=True)
-        return ranked[:n]
+        return sorted(self.members, key=ranking(metric_name), reverse=True)[:n]
 
 
 @dataclass
@@ -74,7 +76,7 @@ class Budget:
         return cls(**d).validate()
 
     def to_dict(self):
-        return {"kind": self.kind, "amount": self.amount}
+        return asdict(self)
 
 
 class BudgetMeter:
@@ -150,11 +152,7 @@ class SearchSchedule:
         return cls(**kwargs).validate()
 
     def to_dict(self):
-        d = {}
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            d[name] = v.to_dict() if isinstance(v, Budget) else v
-        return d
+        return asdict(self)
 
 
 def tournament_select(pop, k, metric_name, seed):
@@ -168,8 +166,7 @@ def tournament_select(pop, k, metric_name, seed):
         raise ValueError(f"tournament size {k} exceeds population {len(pop.members)}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(pop.members), size=k, replace=False)
-    contenders = [pop.members[i] for i in idx]
-    return max(contenders, key=lambda m: (m.metric(metric_name), m.birth_step))
+    return max((pop.members[i] for i in idx), key=ranking(metric_name))
 
 
 class SearchEngine:
@@ -347,8 +344,7 @@ class SearchEngine:
             last_phase = phase
             phase = PHASE_SIZE if phase == PHASE_TOPOLOGY else PHASE_TOPOLOGY
         final_metric = METRIC_FOR_PHASE[last_phase]
-        best = max(self.evaluated,
-                   key=lambda m: (m.metric(final_metric), m.birth_step))
+        best = max(self.evaluated, key=ranking(final_metric))
         self.log("search_done", final_metric=final_metric,
                  best_params=best.report.params,
                  best_entropic=best.report.entropic,

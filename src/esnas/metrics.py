@@ -88,8 +88,9 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
 
     Each repeat re-initialises the weights and redraws the input from its own
     seed.  The graph is prepared for scoring (normalisation suppression, ReLU
-    substitution, absolute weights) once, and each repeat re-initialises the
-    prepared graph, which equals preparing each re-initialised graph.
+    substitution, absolute weights) once, unless it is already in scoring
+    mode, and each repeat re-initialises the prepared graph, which equals
+    preparing each re-initialised graph.
     """
     cfg.validate()
     if len(seeds) != cfg.repeats:
@@ -114,8 +115,9 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
 def logsynflow(graph):
     """Sum over parameters of |theta| * ln(1 + |dR/dtheta|) on the prepared graph.
 
-    R is the sum of the output elements under an all-ones input.  The
-    prepared graph's parameters are already non-negative, so theta is |theta|.
+    R is the sum of the output elements under an all-ones input.  A graph in
+    scoring mode is used as it is.  The prepared graph's parameters are
+    already non-negative, so theta is |theta|.
     """
     g = netgraph.prepare_for_scoring(graph)
     out, grads = netgraph.backward_param_grads(g)
@@ -141,19 +143,31 @@ def derive_seeds(genome, base_seed, n):
 
 
 def score_genome(genome, config, cfg=None, base_seed=0):
-    """Full proxy report for one candidate; deterministic in (genome, base_seed)."""
+    """Full proxy report for one candidate; deterministic in (genome, base_seed).
+
+    One pass: the genome is validated and laid out once, its structure gives
+    the counts and is rewritten for scoring once, and every proxy pass (the
+    entropic repeats, then log-SynFlow from the last seed) re-initialises
+    that one rewritten graph.
+    """
     cfg = (cfg or EntropicConfig()).validate()
     seeds = derive_seeds(genome, base_seed, cfg.repeats + 1)
-    ent_seeds, graph_seed = seeds[:-1], seeds[-1]
-    graph = netgraph.build_graph(genome, config, seed=graph_seed)
-    entropic, per_repeat = entropic_score(graph, cfg, ent_seeds,
+    structure = netgraph.build_structure(genome, config)
+    params = netgraph.count_graph_params(structure)
+    macs = netgraph.count_graph_macs(structure)
+    # free each weight set (8 bytes a parameter) once nothing reads it: the
+    # structure after the rewrite, the rewritten graph after its last redraw
+    prepared = netgraph.prepare_for_scoring(structure)
+    del structure
+    entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
                                           return_per_repeat=True)
-    lsf = logsynflow(graph)
+    last = netgraph.reinit(prepared, seeds[-1])
+    del prepared
     return ScoreReport(
         entropic=entropic,
         entropic_per_repeat=per_repeat,
-        logsynflow=lsf,
-        params=netgraph.count_graph_params(graph),
-        macs=netgraph.count_graph_macs(graph),
+        logsynflow=logsynflow(last),
+        params=params,
+        macs=macs,
         seeds=seeds,
     )

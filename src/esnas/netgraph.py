@@ -455,14 +455,17 @@ def prepare_for_scoring(graph):
 
     Normalisation nodes become identities, GELU becomes ReLU, softmax becomes
     a row-sum-preserving scale, and every parameter value is replaced by its
-    absolute value.  Idempotent.
+    absolute value.  A graph already in scoring mode is returned as it is,
+    so the rewrite is idempotent and never copies twice.
 
     The rewrite commutes with ``reinit``: ``reinit(prepare_for_scoring(g), s)``
     equals ``prepare_for_scoring(reinit(g, s))`` array for array, because
     normalisation nodes draw nothing and conv and linear nodes draw in the
-    same order.  So a candidate is rewritten once and re-initialised per
-    entropic repeat.
+    same order.  So a candidate is rewritten once and re-initialised for
+    every proxy pass.
     """
+    if graph.scoring_mode:
+        return graph
     g = graph.copy()
     for nid, node in enumerate(g.nodes):
         if node.kind in NORM_KINDS:
@@ -621,8 +624,8 @@ def build_structure(genome, config):
 
     Conv weights and biases are zero-filled and norms hold unit scale and
     zero shift, so every node, shape and parameter count is final and no
-    random number is drawn: ``archspace.count_params`` and ``count_macs``
-    count on this.  ``build_graph`` adds the seeded weights.
+    random number is drawn: parameter and MAC counts are taken from this.
+    ``build_graph`` adds the seeded weights.
     """
     violations = validate(genome, config)
     if violations:

@@ -1,6 +1,8 @@
+import json
 import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +290,28 @@ class TestSerialization:
             g = random_genome(attn_config, s)
             again = ArchGenome.from_json(g.to_json())
             assert again.to_json() == g.to_json()
+
+    def test_config_ref_pinned(self):
+        # key order and values feed ref(), genome JSON and scoring seeds
+        assert SearchSpaceConfig().ref() == "e2c51d884e7f"
+        assert SearchSpaceConfig(input_resolution=32).ref() == "451fc25dc3c0"
+
+    def test_stored_genomes_reserialise_byte_for_byte(self):
+        refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+        stored = []
+        for name, items, key in (("score_224", "candidates", "genome"),
+                                 ("correlate_pool", "rows", "genome"),
+                                 ("search_s0_32px", "searches", "best_genome")):
+            data = json.loads((refs / f"{name}.json").read_text())
+            stored.extend(item[key] for item in data[items])
+        assert len(stored) == 48 + 96 + 24
+        for text in stored:
+            assert ArchGenome.from_json(text).to_json() == text
+
+    def test_unknown_gene_type_rejected(self):
+        d = {"stages": [[{"type": "conv", "ffn_type": "ibn"}]]}
+        with pytest.raises(ValueError, match="unknown gene type 'conv'"):
+            ArchGenome.from_dict(d)
 
     def test_schema_fields(self, tiny_config):
         d = random_genome(tiny_config, 0).to_dict()

@@ -88,6 +88,18 @@ class TestScore:
         assert any("decreasing channels" in d
                    for d in payload["error"]["details"])
 
+    @pytest.mark.parametrize("command", ["score", "stats"])
+    @pytest.mark.parametrize("content", [
+        {"stages": [["x"]]}, {"stages": 5}, [1, 2]])
+    def test_malformed_genome_exits_2(self, tmp_path, space_file, command,
+                                      content, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        code, _, err = run([command, "--arch", str(bad),
+                            "--config", str(space_file)], capsys)
+        assert code == 2
+        assert "invalid genome file" in json.loads(err)["error"]["message"]
+
     def test_missing_file_exits_2(self, space_file, capsys):
         code, _, err = run(["score", "--arch", "/nonexistent.json",
                             "--config", str(space_file)], capsys)
@@ -104,6 +116,17 @@ class TestStats:
         g = archspace.ArchGenome.from_json(genome_file.read_text())
         assert stats["params"] == archspace.count_params(g, tiny_config)
         assert stats["macs"] == archspace.count_macs(g, tiny_config)
+
+    def test_genome_outside_space_exits_2(self, tmp_path, space_file, capsys):
+        bad = tmp_path / "bad.json"
+        genome = random_genome(archspace.SearchSpaceConfig(), 0)
+        bad.write_text(genome.to_json())  # a genome of another space
+        code, _, err = run(["stats", "--arch", str(bad),
+                            "--config", str(space_file)], capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"]["message"] == "genome fails validation"
+        assert payload["error"]["details"]
 
 
 class TestSearch:
@@ -341,6 +364,19 @@ class TestCorrelate:
                       "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
         assert "--workers: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_one_exits_2(self, tmp_path, sample, capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("id,score_entropic,accuracy\n"
+                            "a,1.0,60.0\nb,2.0,70.0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["correlate", "--bench", str(csv_path),
+                      "--metric", "entropic", "--sample", sample,
+                      "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "--sample: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_out_parent_is_created(self, tmp_path, capsys):

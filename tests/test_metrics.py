@@ -286,6 +286,43 @@ class TestScoreGenome:
         assert rep.entropic >= 0 and rep.logsynflow >= 0
         assert rep.params > 0 and rep.macs > 0
 
+    def test_one_layout_and_one_rewrite(self, attn_config, monkeypatch):
+        layouts, rewrites = [], []
+        build = netgraph.build_structure
+        prepare = netgraph.prepare_for_scoring
+
+        def counting_build(genome, config):
+            layouts.append(genome)
+            return build(genome, config)
+
+        def counting_prepare(graph):
+            prepared = prepare(graph)
+            if prepared is not graph:
+                rewrites.append(graph)
+            return prepared
+
+        monkeypatch.setattr(netgraph, "build_structure", counting_build)
+        monkeypatch.setattr(netgraph, "prepare_for_scoring", counting_prepare)
+        score_genome(random_genome(attn_config, 0), attn_config)
+        assert len(layouts) == 1
+        assert len(rewrites) == 1
+
+    def test_equals_scoring_the_seeded_graph(self, attn_config):
+        """The report equals scoring the graph seeded from the last seed with
+        each proxy on its own, bit for bit."""
+        cfg = EntropicConfig()
+        for s in range(4):
+            genome = random_genome(attn_config, s)
+            rep = score_genome(genome, attn_config, base_seed=s)
+            graph = netgraph.build_graph(genome, attn_config, seed=rep.seeds[-1])
+            entropic, per_repeat = entropic_score(graph, cfg, rep.seeds[:-1],
+                                                  return_per_repeat=True)
+            assert rep.entropic == entropic
+            assert rep.entropic_per_repeat == per_repeat
+            assert rep.logsynflow == logsynflow(graph)
+            assert rep.params == netgraph.count_graph_params(graph)
+            assert rep.macs == netgraph.count_graph_macs(graph)
+
     def test_deterministic_in_genome_and_base_seed(self, tiny_config):
         genome = random_genome(tiny_config, 2)
         r1 = score_genome(genome, tiny_config, base_seed=9)

@@ -334,6 +334,11 @@ class TestPrepare:
             for (_, _, a), (_, _, b) in zip(p1.iter_params(), p2.iter_params()):
                 assert np.array_equal(a, b)
 
+    def test_scoring_mode_graph_is_returned_as_is(self):
+        for t in TEMPLATES:
+            p = prepare_for_scoring(make_graph(t, 5))
+            assert prepare_for_scoring(p) is p
+
     def test_softmax_becomes_row_preserving_scale(self):
         g = make_graph(template_attention, 2)
         p = prepare_for_scoring(g)
