@@ -318,6 +318,12 @@ def validate(genome, config):
     for si, bi, g in genome.blocks():
         net_idx += 1
         where = f"stage {si + 1} block {bi + 1}"
+        wrong = [f"{k} {v!r}" for k, v in vars(g).items()
+                 if k != "ffn_type" and type(v) is not int]
+        if wrong:  # the checks below compare integers
+            violations.append(f"{where}: not an integer: {', '.join(wrong)}")
+            prev_ch = None
+            continue
         if isinstance(g, AttnGene) and (si + 1) not in config.attention_stages:
             violations.append(f"{where}: attention block outside attention stages "
                               f"{sorted(config.attention_stages)}")

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from . import archspace, metrics
+from . import archspace, metrics, netgraph
 
 log = logging.getLogger("esnas")
 
@@ -151,9 +151,10 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
 
     Entries with a precomputed score for the metric are used directly;
     otherwise the architecture is instantiated and scored, in a pool of
-    ``workers`` processes when ``workers > 1``.  Rows that can do neither are
-    skipped, counted, logged and listed in the report with their reason and
-    row number (the entry's CSV row, else its position in ``table`` from 1).
+    ``workers`` processes when ``workers > 1``, each scoring serially.  Rows
+    that can do neither are skipped, counted, logged and listed in the report
+    with their reason and row number (the entry's CSV row, else its position
+    in ``table`` from 1).
     Pairs keep table order.
     """
     if not table:
@@ -161,7 +162,10 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     jobs = [(e.arch, metric_name, config, entropic_cfg, base_seed)
             for e in table if metric_name not in e.precomputed_scores]
     if workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers fork with OpenBLAS at one thread and score serially: the
+        # pool already keeps the cores busy
+        with netgraph.one_blas_thread(), ProcessPoolExecutor(
+                max_workers=workers, initializer=metrics.serial_passes) as pool:
             results = iter(list(pool.map(_score_row, jobs)))
     else:
         results = map(_score_row, jobs)

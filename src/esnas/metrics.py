@@ -1,9 +1,17 @@
-"""Training-free proxies: activation-entropy expressivity and log-damped gradient flow."""
+"""Training-free proxies: activation-entropy expressivity and log-damped gradient flow.
+
+An entropic forward takes each tap's entropy as the tap is produced and
+frees each activation after its last use; the log-SynFlow backward frees
+values and gradients behind it and reduces each parameter gradient to its
+term at once.  Scoring runs with OpenBLAS at one thread.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -83,6 +91,7 @@ def layer_entropy(normalized, epsilon):
     return max(val, 0.0)
 
 
+@netgraph.one_blas_thread()
 def entropic_score(graph, cfg, seeds, return_per_repeat=False):
     """Average over repeats of the summed per-tap entropy of a scoring pass.
 
@@ -96,41 +105,53 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
     if len(seeds) != cfg.repeats:
         raise ValueError(f"expected {cfg.repeats} seeds, got {len(seeds)}")
     prepared = netgraph.prepare_for_scoring(graph)
+
+    def entropy(tap):
+        return layer_entropy(normalize_activations(tap, cfg), cfg.epsilon)
+
     per_repeat = []
     for seed in seeds:
         wseed, xseed = np.random.SeedSequence(seed).spawn(2)
-        g = netgraph.reinit(prepared, wseed)
         x = np.random.default_rng(xseed).uniform(
             cfg.input_low, cfg.input_high, graph.input_shape)
-        _, taps = netgraph.forward(g, x)
-        per_repeat.append(
-            float(sum(layer_entropy(normalize_activations(t, cfg), cfg.epsilon)
-                      for t in taps)))
+        # unnamed, so each redraw is freed before the next is drawn
+        _, terms = netgraph.forward(netgraph.reinit(prepared, wseed), x,
+                                    tap=entropy)
+        per_repeat.append(float(sum(terms)))
     score = float(np.mean(per_repeat))
     if return_per_repeat:
         return score, per_repeat
     return score
 
 
+def _logsynflow_term(theta, grad):
+    """sum(theta * ln(1 + |grad|)), or None if grad is not finite; grad is
+    a fresh array from the backward pass: its buffer is reused."""
+    if not np.all(np.isfinite(grad)):
+        return None
+    np.log1p(np.abs(grad, out=grad), out=grad)
+    grad *= theta
+    return float(np.sum(grad))
+
+
+@netgraph.one_blas_thread()
 def logsynflow(graph):
     """Sum over parameters of |theta| * ln(1 + |dR/dtheta|) on the prepared graph.
 
     R is the sum of the output elements under an all-ones input.  A graph in
     scoring mode is used as it is.  The prepared graph's parameters are
-    already non-negative, so theta is |theta|.
+    already non-negative, so theta is |theta|.  Terms are summed, and
+    non-finite gradients reported, in parameter order.
     """
     g = netgraph.prepare_for_scoring(graph)
-    out, grads = netgraph.backward_param_grads(g)
+    out, terms = netgraph.backward_param_grads(g, reduce=_logsynflow_term)
     if not np.isfinite(float(out.sum())):
         raise FloatingPointError("non-finite scoring output sum")
     score = 0.0
-    for (nid, _, theta), grad in zip(g.iter_params(), grads):
-        if not np.all(np.isfinite(grad)):
+    for (nid, _, _), term in zip(g.iter_params(), terms):
+        if term is None:
             raise FloatingPointError(f"non-finite gradient at node {nid}")
-        # grad is a fresh array from the backward pass: reuse its buffer
-        np.log1p(np.abs(grad, out=grad), out=grad)
-        grad *= theta
-        score += float(np.sum(grad))
+        score += term
     return score
 
 
@@ -142,13 +163,37 @@ def derive_seeds(genome, base_seed, n):
     return [int(s.generate_state(1)[0]) for s in root.spawn(n)]
 
 
+# Smaller candidates score every pass on the calling thread: their passes
+# are short and Python-bound, so a second thread only contends for the GIL.
+HELPER_MIN_MACS = 1_000_000
+_helper_allowed = True
+
+
+def serial_passes():
+    """From now on, score every pass on the calling thread in this process
+    (for pool workers: the pool already keeps the cores busy)."""
+    global _helper_allowed
+    _helper_allowed = False
+
+
+def _use_helper(macs):
+    if not _helper_allowed or macs < HELPER_MIN_MACS:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus >= 2
+
+
+@netgraph.one_blas_thread()
 def score_genome(genome, config, cfg=None, base_seed=0):
     """Full proxy report for one candidate; deterministic in (genome, base_seed).
 
     One pass: the genome is validated and laid out once, its structure gives
     the counts and is rewritten for scoring once, and every proxy pass (the
     entropic repeats, then log-SynFlow from the last seed) re-initialises
-    that one rewritten graph.
+    that one rewritten graph.  For a large enough candidate on two or more
+    CPUs, log-SynFlow runs on a helper thread owned by this call while the
+    entropic repeats run here; their exception wins, as in serial order.
     """
     cfg = (cfg or EntropicConfig()).validate()
     seeds = derive_seeds(genome, base_seed, cfg.repeats + 1)
@@ -159,14 +204,23 @@ def score_genome(genome, config, cfg=None, base_seed=0):
     # structure after the rewrite, the rewritten graph after its last redraw
     prepared = netgraph.prepare_for_scoring(structure)
     del structure
-    entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
-                                          return_per_repeat=True)
-    last = netgraph.reinit(prepared, seeds[-1])
-    del prepared
+    if _use_helper(macs):
+        with ThreadPoolExecutor(1) as helper:
+            pending = helper.submit(
+                lambda: logsynflow(netgraph.reinit(prepared, seeds[-1])))
+            entropic, per_repeat = entropic_score(
+                prepared, cfg, seeds[:-1], return_per_repeat=True)
+        lsf = pending.result()
+    else:
+        entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
+                                              return_per_repeat=True)
+        last = netgraph.reinit(prepared, seeds[-1])
+        del prepared
+        lsf = logsynflow(last)
     return ScoreReport(
         entropic=entropic,
         entropic_per_repeat=per_repeat,
-        logsynflow=logsynflow(last),
+        logsynflow=lsf,
         params=params,
         macs=macs,
         seeds=seeds,

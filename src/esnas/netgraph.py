@@ -11,11 +11,20 @@ batched matmuls over channels, each multiplying the padded input rows by a
 banded matrix built from one kernel row; every other conv (1x1, the strided
 stem and downsamplers, other groupings) is an im2col window view times the
 weights, one matmul per group.
+
+The forward streams: it hands each activation tap to the caller's ``tap``
+function as the tap is produced and drops every value after its last
+consumer.  The backward drops each node's value and incoming gradient once
+that node's step has run, and hands each parameter gradient to ``reduce``
+as soon as it exists.  ``one_blas_thread`` pins OpenBLAS to one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,16 +70,18 @@ class Graph:
     activation_taps: list[int]
     out_shapes: list[tuple]
     scoring_mode: bool = False
+    last_uses: list | None = field(default=None, repr=False, compare=False)
 
     def copy(self):
         """Copy of the graph structure; the nodes share the parameter arrays.
 
         Every caller replaces parameter arrays rather than writing into them,
-        so the arrays themselves are never copied."""
+        and keeps the wiring, so neither the arrays nor the last-use table
+        is ever copied."""
         return Graph([n.copy() for n in self.nodes],
                      tuple(self.input_shape),
                      self.output_id, list(self.activation_taps),
-                     list(self.out_shapes), self.scoring_mode)
+                     list(self.out_shapes), self.scoring_mode, self.last_uses)
 
     def iter_params(self):
         """Yield (node_id, param_index, array) over all parameter tensors."""
@@ -386,18 +397,33 @@ def _node_backward(node, ins, out, gout):
 # ---------------------------------------------------------------------------
 # graph evaluation
 
-def _forward_all(graph, x):
+def _last_uses(graph):
+    """Per node, the values whose last consumer it is (a value no node reads
+    is listed at its own node; the output never is).  Built once per graph
+    and shared by its copies."""
+    if graph.last_uses is None:
+        last = {i: nid for nid, n in enumerate(graph.nodes) for i in n.inputs}
+        graph.last_uses = [[] for _ in graph.nodes]
+        for i in range(len(graph.nodes)):
+            if i != graph.output_id:
+                graph.last_uses[last.get(i, i)].append(i)
+    return graph.last_uses
+
+
+def _forward_all(graph, x, take=None):
+    """Every node's value, in node order.  With ``take``, ``take(nid, value)``
+    gets each activation tap as it is produced, and every value but the
+    output is dropped (left None) after its last consumer has run."""
     if tuple(x.shape) != tuple(graph.input_shape):
         raise GraphShapeError(
             f"input shape {tuple(x.shape)} does not match graph input "
             f"{tuple(graph.input_shape)}")
     vals = [None] * len(graph.nodes)
-
-    def val(i):
-        return x if i == INPUT else vals[i]
-
+    if take is not None:
+        last_uses = _last_uses(graph)
+        taps = set(graph.activation_taps)
     for nid, node in enumerate(graph.nodes):
-        ins = [val(i) for i in node.inputs]
+        ins = [x if i == INPUT else vals[i] for i in node.inputs]
         try:
             vals[nid] = _node_forward(node, ins)
         except GraphShapeError as e:
@@ -407,47 +433,62 @@ def _forward_all(graph, x):
             raise GraphShapeError(
                 f"node {nid} ({node.kind}): produced {vals[nid].shape}, "
                 f"expected {tuple(expect)}")
+        if take is not None:
+            if nid in taps:
+                take(nid, vals[nid])
+            for i in last_uses[nid]:
+                vals[i] = None
     return vals
 
 
-def forward(graph, x):
-    """Evaluate the graph; return (output, [tap tensors in network order])."""
-    vals = _forward_all(graph, x)
-    return vals[graph.output_id], [vals[t] for t in graph.activation_taps]
+def forward(graph, x, tap=None):
+    """Evaluate the graph; return (output, [tap tensors in network order]),
+    or ``tap(tensor)`` of each tap, taken as the tap is produced."""
+    kept = {}
+
+    def take(nid, value):
+        kept[nid] = value if tap is None else tap(value)
+
+    vals = _forward_all(graph, x, take)
+    return vals[graph.output_id], [kept[t] for t in graph.activation_taps]
 
 
-def backward_param_grads(graph):
+def backward_param_grads(graph, reduce=None):
     """Gradients of R = sum(output) under an all-ones input, per parameter.
 
     Returns ``(output, grads)``: the graph output under that input, from the
-    same forward pass, and a list of arrays aligned with graph.iter_params().
+    same forward pass, and a list aligned with graph.iter_params() of the
+    gradient arrays, or of ``reduce(param, grad)`` of each.  ``reduce`` runs
+    as soon as a gradient exists, and may overwrite it.
     """
     x = np.ones(graph.input_shape)
     vals = _forward_all(graph, x)
+    out = vals[graph.output_id]
     node_grads = [None] * len(graph.nodes)
     node_grads[graph.output_id] = np.ones(graph.out_shapes[graph.output_id])
-    pgrads = {}
+    pgrads = [None] * len(graph.nodes)
     for nid in range(len(graph.nodes) - 1, -1, -1):
-        g = node_grads[nid]
+        g, node_grads[nid] = node_grads[nid], None
         node = graph.nodes[nid]
         if g is None:
             # node does not feed the output
-            pgrads[nid] = [np.zeros_like(p) for p in node.params]
-            continue
-        ins = [x if i == INPUT else vals[i] for i in node.inputs]
-        igrads, pg = _node_backward(node, ins, vals[nid], g)
-        pgrads[nid] = pg
-        for src, ig in zip(node.inputs, igrads):
-            if src == INPUT:
-                continue
-            if node_grads[src] is None:
-                node_grads[src] = ig.copy()
-            else:
-                node_grads[src] += ig
-    grads = []
-    for nid in range(len(graph.nodes)):
-        grads.extend(pgrads[nid])
-    return vals[graph.output_id], grads
+            pg = [np.zeros_like(p) for p in node.params]
+        else:
+            ins = [x if i == INPUT else vals[i] for i in node.inputs]
+            igrads, pg = _node_backward(node, ins, vals[nid], g)
+            for src, ig in zip(node.inputs, igrads):
+                if src == INPUT:
+                    continue
+                if node_grads[src] is None:
+                    node_grads[src] = ig.copy()
+                else:
+                    node_grads[src] += ig
+            del ins, igrads
+        # every consumer of this value has run its step before this one
+        vals[nid] = g = None
+        pgrads[nid] = pg if reduce is None else [
+            reduce(p, q) for p, q in zip(node.params, pg)]
+    return out, [q for pg in pgrads for q in pg]
 
 
 def prepare_for_scoring(graph):
@@ -481,6 +522,7 @@ def prepare_for_scoring(graph):
         node.params = [np.abs(p) for p in node.params]
     g.activation_taps = [i for i, n in enumerate(g.nodes) if n.kind == "relu"]
     g.scoring_mode = True
+    _last_uses(g)  # once here, rather than in each redraw's forward
     return g
 
 
@@ -521,6 +563,68 @@ def reinit(graph, seed):
             node.params[0] = np.ones_like(node.params[0])
             node.params[1] = np.zeros_like(node.params[1])
     return g
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS threads
+
+_blas_lock = threading.Lock()
+_blas_users, _blas_saved, _blas_controls = 0, [], None
+
+
+def _find_blas_controls():
+    """(set, get) thread-count functions of each loaded OpenBLAS library (the
+    builds numpy and scipy bundle, or a system one), found through the
+    process's mapped files; empty where there is none or no /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return []
+    controls = []
+    for lib in map(ctypes.CDLL, paths):
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("set")):
+                setter, getter = (getattr(lib, name.format(verb))
+                                  for verb in ("set", "get"))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body (or, as a decorator, the function) with OpenBLAS at one
+    thread; a no-op without OpenBLAS.  Re-entrant and shared by threads: the
+    first to enter sets one thread, and the last to leave, by return or
+    raise, restores the counts found on entry.
+
+    A library already at one thread is not called: after a fork, any call
+    that sets the count restarts OpenBLAS's thread pool, whose new thread
+    spins for ~0.1 s of CPU.  A pool forked inside this context thus gets
+    workers that score at one thread without that cost.
+    """
+    global _blas_users, _blas_saved, _blas_controls
+    with _blas_lock:
+        if _blas_users == 0:
+            if _blas_controls is None:
+                _blas_controls = _find_blas_controls()
+            _blas_saved = [(setter, n) for setter, getter in _blas_controls
+                           if (n := getter()) != 1]
+            for setter, _ in _blas_saved:
+                setter(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for setter, n in _blas_saved:
+                    setter(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import itertools
+import math
+import os
+import threading
 
 import pytest
 
-from esnas import archspace
+from esnas import archspace, metrics
 
 
 @pytest.fixture
@@ -85,3 +88,29 @@ def enumerate_space(config):
         if not archspace.validate(g, config):
             genomes.append(g)
     return genomes
+
+
+@pytest.fixture
+def helper_thread(monkeypatch):
+    """``helper_thread(on)`` makes ``score_genome`` run its log-SynFlow pass
+    on the helper thread (True) or on the calling thread (False), whatever
+    the candidate's size and the CPU count.  It returns a list that records,
+    for each log-SynFlow pass from then on, whether it ran off the main
+    thread."""
+    off_main = []
+    logsynflow = metrics.logsynflow
+
+    def recording(graph):
+        off_main.append(threading.current_thread()
+                        is not threading.main_thread())
+        return logsynflow(graph)
+
+    monkeypatch.setattr(metrics, "logsynflow", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def force(on):
+        monkeypatch.setattr(metrics, "HELPER_MIN_MACS", 0 if on else math.inf)
+        off_main.clear()
+        return off_main
+
+    return force

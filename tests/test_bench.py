@@ -1,11 +1,12 @@
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from esnas import bench
+from esnas import bench, metrics, netgraph
 from esnas.archspace import random_genome
 from esnas.bench import (
     BenchmarkEntry,
@@ -145,6 +146,13 @@ class TestMonotoneInvariance:
         assert abs(spearman_rho(xs, 2 * xs + 1) - 1.0) < 1e-15
 
 
+def blas_threads_row(job):
+    """A pool job that scores row i as 10 i + its worker's OpenBLAS thread
+    count."""
+    threads = netgraph._find_blas_controls()[0][1]()
+    return float(10 * int(job[0]) + threads), None
+
+
 class TestCorrelateBenchmark:
     def precomputed_table(self, scores, accs):
         return [BenchmarkEntry(accuracy=a, precomputed_scores={"entropic": s})
@@ -215,6 +223,43 @@ class TestCorrelateBenchmark:
         # the table is read, not written
         assert [e.precomputed_scores for e in table] == (
             [{"entropic": 1.0}] + [{}] * 4 + [{"entropic": 2.0}])
+
+    def test_pool_after_scoring_on_the_helper_thread(self, tiny_config,
+                                                     helper_thread):
+        """The pool forks after a candidate was scored with a helper thread:
+        no thread outlives that call, and the pool's pairs are the serial
+        ones."""
+        off_main = helper_thread(True)
+        threads = threading.enumerate()
+        metrics.score_genome(random_genome(tiny_config, 9), tiny_config)
+        assert off_main == [True]
+        assert threading.enumerate() == threads
+        table = [BenchmarkEntry(arch=random_genome(tiny_config, s).to_json(),
+                                accuracy=float(50 + s)) for s in range(4)]
+        _, serial = correlate_benchmark(table, "logsynflow",
+                                        config=tiny_config)
+        _, pooled = correlate_benchmark(table, "logsynflow",
+                                        config=tiny_config, workers=2)
+        assert pooled == serial
+
+    def test_pool_workers_start_at_one_blas_thread(self, monkeypatch):
+        """Workers inherit one OpenBLAS thread from the fork, so none has to
+        set it (which would restart OpenBLAS's thread pool in each)."""
+        if not netgraph._find_blas_controls():
+            pytest.skip("no OpenBLAS library is loaded")
+        monkeypatch.setattr(bench, "_score_row", blas_threads_row)
+        set_threads, get_threads = netgraph._find_blas_controls()[0]
+        before = get_threads()
+        set_threads(2)
+        try:
+            table = [BenchmarkEntry(arch=str(i), accuracy=float(i))
+                     for i in range(4)]
+            _, pairs = correlate_benchmark(table, "entropic", workers=2)
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert [s for s, _ in pairs] == [1.0, 11.0, 21.0, 31.0]
+        assert after == 2
 
     def test_empty_and_degenerate_tables(self):
         with pytest.raises(CorrelationError):

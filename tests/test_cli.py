@@ -100,6 +100,29 @@ class TestScore:
         assert code == 2
         assert "invalid genome file" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["score", "stats"])
+    @pytest.mark.parametrize("field, value", [
+        ("out_channels", "x"), ("kernel_size", "3"), ("expansion_ratio", 2.0)])
+    def test_wrong_field_type_exits_2_naming_it(
+            self, tmp_path, space_file, command, field, value, capsys):
+        second = {"type": "ffn", "ffn_type": "ibn", "out_channels": 16,
+                  "kernel_size": 3, "expansion_ratio": 2}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "schema_version": 1, "config_ref": "",
+            "stages": [[
+                {"type": "ffn", "ffn_type": "ibn", "out_channels": 8,
+                 "kernel_size": 3, "expansion_ratio": 2},
+                {**second, field: value},
+            ]]}))
+        code, _, err = run([command, "--arch", str(bad),
+                            "--config", str(space_file)], capsys)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"]["message"] == "genome fails validation"
+        assert payload["error"]["details"] == [
+            f"stage 1 block 2: not an integer: {field} {value!r}"]
+
     def test_missing_file_exits_2(self, space_file, capsys):
         code, _, err = run(["score", "--arch", "/nonexistent.json",
                             "--config", str(space_file)], capsys)

@@ -1,11 +1,19 @@
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 
 from esnas import metrics, netgraph
-from esnas.archspace import ArchGenome, FfnGene, SearchSpaceConfig, random_genome
+from esnas.archspace import (
+    ArchGenome,
+    AttnGene,
+    FfnGene,
+    InvalidGenomeError,
+    SearchSpaceConfig,
+    random_genome,
+)
 from esnas.metrics import (
     EntropicConfig,
     ScoreReport,
@@ -355,6 +363,108 @@ class TestScoreGenome:
         assert derive_seeds(g, 0, 4) != derive_seeds(g, 1, 4)
         other = random_genome(tiny_config, 5)
         assert derive_seeds(g, 0, 4) != derive_seeds(other, 0, 4)
+
+
+def attention_genomes_64px(n):
+    """The default space at 64 px and its first n random genomes (by seed)
+    that hold an attention block."""
+    space = SearchSpaceConfig(input_resolution=64).validate()
+    genomes = (random_genome(space, s) for s in range(100))
+    return space, [g for g in genomes
+                   if any(isinstance(b, AttnGene) for _, _, b in g.blocks())][:n]
+
+
+class TestHelperThread:
+    """score_genome's log-SynFlow pass on a helper thread gives the serial
+    path's reports and errors."""
+
+    def test_report_is_the_same_on_either_path(self, helper_thread):
+        space, genomes = attention_genomes_64px(3)
+        reports = {}
+        for on in (False, True):
+            off_main = helper_thread(on)
+            reports[on] = [score_genome(g, space, base_seed=s).to_json()
+                           for s, g in enumerate(genomes)]
+            assert off_main == [on] * len(genomes)
+        assert reports[True] == reports[False]
+
+    def test_logsynflow_error_reaches_the_caller_unchanged(
+            self, helper_thread, monkeypatch):
+        space, (genome,) = attention_genomes_64px(1)
+        monkeypatch.setattr(metrics, "_logsynflow_term", lambda theta, g: None)
+        errors = {}
+        for on in (False, True):
+            helper_thread(on)
+            with pytest.raises(FloatingPointError) as e:
+                score_genome(genome, space)
+            errors[on] = (type(e.value), str(e.value))
+        assert errors[True] == errors[False]
+        assert errors[True][1].startswith("non-finite gradient at node ")
+
+    def test_entropic_error_wins(self, helper_thread, monkeypatch):
+        space, (genome,) = attention_genomes_64px(1)
+        lsf_failed = threading.Event()
+
+        def lsf_fails(theta, grad):
+            lsf_failed.set()
+            return None
+
+        def entropy_fails(*args):
+            # on the helper path, fail only after log-SynFlow has failed
+            lsf_failed.wait(timeout=60 if on else 0)
+            raise ValueError("entropic repeat failed")
+
+        monkeypatch.setattr(metrics, "_logsynflow_term", lsf_fails)
+        monkeypatch.setattr(metrics, "layer_entropy", entropy_fails)
+        for on in (False, True):
+            helper_thread(on)
+            lsf_failed.clear()
+            with pytest.raises(ValueError, match="entropic repeat failed"):
+                score_genome(genome, space)
+            assert lsf_failed.is_set() == on
+
+    def test_invalid_genome_raises_before_a_thread_starts(
+            self, tiny_config, helper_thread, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        helper_thread(True)
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_thread)
+        bad = ArchGenome(stages=[[FfnGene("ibn", 16, 3, 2),
+                                  FfnGene("ibn", 8, 3, 2)]])
+        with pytest.raises(InvalidGenomeError):
+            score_genome(bad, tiny_config)
+
+    def test_caller_blas_thread_count_is_restored(self, helper_thread,
+                                                  monkeypatch):
+        controls = netgraph._find_blas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library is loaded")
+        set_threads, get_threads = controls[0]
+        space, (genome,) = attention_genomes_64px(1)
+        inside = []
+        entropy = metrics.layer_entropy
+
+        def recording(*args):
+            inside.append(get_threads())
+            return entropy(*args)
+
+        monkeypatch.setattr(metrics, "layer_entropy", recording)
+        helper_thread(True)
+        before = get_threads()
+        set_threads(2)
+        try:
+            score_genome(genome, space)
+            after_return = get_threads()
+            monkeypatch.setattr(metrics, "_logsynflow_term",
+                                lambda theta, g: None)
+            with pytest.raises(FloatingPointError):
+                score_genome(genome, space)
+            after_raise = get_threads()
+        finally:
+            set_threads(before)
+        assert (after_return, after_raise) == (2, 2)
+        assert inside and set(inside) == {1}
 
 
 class TestEntropicConfig:
