@@ -4,7 +4,9 @@ A genome describes one hybrid conv/attention candidate as a list of stages,
 each stage a list of block genes.  Gene fields are split into two disjoint
 roles -- topology (block type, kernel size, head count) and size (output
 channels, expansion ratio, head dimension) -- so that mutation can be
-restricted to one role during a search phase.
+restricted to one role during a search phase.  Each searched field's role,
+message label and domain are defined once, in ``GENE_FIELDS``, and
+random_genome, validate, mutate and crossover all read them from there.
 """
 
 from __future__ import annotations
@@ -23,9 +25,16 @@ FFN_CONVNEXT = "convnext"
 PHASE_TOPOLOGY = "topology"
 PHASE_SIZE = "size"
 
-# Role split of the searchable gene fields.
-TOPOLOGY_FIELDS = ("ffn_type", "kernel_size", "num_heads")
-SIZE_FIELDS = ("out_channels", "expansion_ratio", "head_dim")
+# Each searched gene field: its role, its name in violation messages, and its
+# domain in 0-based stage si of a config c.
+GENE_FIELDS = {
+    "ffn_type": (PHASE_TOPOLOGY, "ffn_type", lambda c, si: c.ffn_types),
+    "out_channels": (PHASE_SIZE, "channels", lambda c, si: c.channel_domain[si]),
+    "expansion_ratio": (PHASE_SIZE, "expansion", lambda c, si: c.expansion_domain),
+    "kernel_size": (PHASE_TOPOLOGY, "kernel", lambda c, si: c.kernel_domain),
+    "num_heads": (PHASE_TOPOLOGY, "heads", lambda c, si: c.heads_domain),
+    "head_dim": (PHASE_SIZE, "head_dim", lambda c, si: c.head_dim_domain),
+}
 
 
 class ConfigError(ValueError):
@@ -111,6 +120,10 @@ class SearchSpaceConfig:
         ]:
             if not dom:
                 problems.append(f"{name} is empty")
+            elif any(type(v) is not int for v in dom):  # genes take domain values as is
+                problems.append(f"{name} must hold integers: {dom}")
+            elif min(dom) < 1:
+                problems.append(f"{name} must hold values >= 1: {dom}")
             elif any(b <= a for a, b in zip(dom, dom[1:])):
                 problems.append(f"{name} is not strictly increasing: {dom}")
         if any(k < 3 or k % 2 == 0 for k in self.kernel_domain):
@@ -129,14 +142,18 @@ class SearchSpaceConfig:
             problems.append("stem_channels and input_channels must be >= 1")
         if self.max_params < 1:
             problems.append("max_params must be >= 1")
-        # Shared grid on domain overlaps keeps sort-repair closed over the space.
-        for i in range(self.num_stages):
-            for j in range(self.num_stages):
-                if i == j or not self.channel_domain[i] or not self.channel_domain[j]:
+        # Stage ranges that never fall and a shared grid on domain overlaps keep
+        # sort-repair closed over the space.
+        chans = self.channel_domain
+        if all(chans) and any(b[0] < a[0] or b[-1] < a[-1] for a, b in zip(chans, chans[1:])):
+            problems.append(f"channel_domain stage ranges must not fall from one "
+                            f"stage to the next: {chans}")
+        for i, di in enumerate(chans):
+            for j, dj in enumerate(chans):
+                if i == j or not di or not dj:
                     continue
-                lo, hi = self.channel_domain[j][0], self.channel_domain[j][-1]
-                for v in self.channel_domain[i]:
-                    if lo <= v <= hi and v not in self.channel_domain[j]:
+                for v in di:
+                    if dj[0] <= v <= dj[-1] and v not in dj:
                         problems.append(
                             f"channel value {v} of stage {i + 1} falls inside the "
                             f"range of stage {j + 1} but is not in its domain"
@@ -165,21 +182,27 @@ class SearchSpaceConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-@dataclass
-class FfnGene:
-    ffn_type: str
-    out_channels: int
-    kernel_size: int
-    expansion_ratio: int
-
-    kind = "ffn"
+class _Gene:
+    """Base of the block genes.  ``searched`` names a gene's GENE_FIELDS in
+    the order random_genome draws them."""
 
     def to_dict(self):
         return {"type": self.kind, **asdict(self)}
 
 
 @dataclass
-class AttnGene:
+class FfnGene(_Gene):
+    ffn_type: str
+    out_channels: int
+    kernel_size: int
+    expansion_ratio: int
+
+    kind = "ffn"
+    searched = ("ffn_type", "out_channels", "expansion_ratio", "kernel_size")
+
+
+@dataclass
+class AttnGene(_Gene):
     """Attention block gene.  The kernel of its trailing FFN is fixed to 3."""
 
     ffn_type: str
@@ -189,9 +212,7 @@ class AttnGene:
     head_dim: int
 
     kind = "attn"
-
-    def to_dict(self):
-        return {"type": self.kind, **asdict(self)}
+    searched = ("ffn_type", "out_channels", "expansion_ratio", "num_heads", "head_dim")
 
 
 GENE_TYPES = {cls.kind: cls for cls in (FfnGene, AttnGene)}
@@ -240,20 +261,11 @@ def genome_hash(genome):
     return int.from_bytes(h[:8], "big")
 
 
-def _field_domain(config, stage_idx, name):
-    if name == "ffn_type":
-        return config.ffn_types
-    if name == "kernel_size":
-        return config.kernel_domain
-    if name == "num_heads":
-        return config.heads_domain
-    if name == "out_channels":
-        return config.channel_domain[stage_idx]
-    if name == "expansion_ratio":
-        return config.expansion_domain
-    if name == "head_dim":
-        return config.head_dim_domain
-    raise KeyError(name)
+def _draw(rng, config, si, fname):
+    """One uniform draw from a field's domain in stage si.  Indexing, unlike
+    rng.choice(dom), returns the domain's own int or str."""
+    dom = GENE_FIELDS[fname][2](config, si)
+    return dom[rng.integers(len(dom))]
 
 
 def repair_channels(genome):
@@ -272,33 +284,16 @@ def repair_channels(genome):
 def random_genome(config, seed):
     """Draw a uniform genome; channels are drawn then sorted non-decreasing."""
     rng = np.random.default_rng(seed)
-    cref = config.ref()
     stages = []
     for si in range(config.num_stages):
         genes = []
         attn_ok = (si + 1) in config.attention_stages
         for _ in range(config.blocks_per_stage[si]):
             is_attn = attn_ok and rng.random() < config.attention_probability
-            ffn_type = config.ffn_types[rng.integers(len(config.ffn_types))]
-            out_ch = int(rng.choice(config.channel_domain[si]))
-            exp = int(rng.choice(config.expansion_domain))
-            if is_attn:
-                genes.append(AttnGene(
-                    ffn_type=ffn_type,
-                    out_channels=out_ch,
-                    expansion_ratio=exp,
-                    num_heads=int(rng.choice(config.heads_domain)),
-                    head_dim=int(rng.choice(config.head_dim_domain)),
-                ))
-            else:
-                genes.append(FfnGene(
-                    ffn_type=ffn_type,
-                    out_channels=out_ch,
-                    kernel_size=int(rng.choice(config.kernel_domain)),
-                    expansion_ratio=exp,
-                ))
+            gene_cls = AttnGene if is_attn else FfnGene
+            genes.append(gene_cls(**{f: _draw(rng, config, si, f) for f in gene_cls.searched}))
         stages.append(genes)
-    return repair_channels(ArchGenome(stages=stages, config_ref=cref))
+    return repair_channels(ArchGenome(stages=stages, config_ref=config.ref()))
 
 
 def validate(genome, config):
@@ -327,25 +322,11 @@ def validate(genome, config):
         if isinstance(g, AttnGene) and (si + 1) not in config.attention_stages:
             violations.append(f"{where}: attention block outside attention stages "
                               f"{sorted(config.attention_stages)}")
-        if g.ffn_type not in config.ffn_types:
-            violations.append(f"{where}: ffn_type {g.ffn_type!r} not in {config.ffn_types}")
-        if g.out_channels not in config.channel_domain[si]:
-            violations.append(f"{where}: channels {g.out_channels} not in domain "
-                              f"{config.channel_domain[si]}")
-        if g.expansion_ratio not in config.expansion_domain:
-            violations.append(f"{where}: expansion {g.expansion_ratio} not in domain "
-                              f"{config.expansion_domain}")
-        if isinstance(g, FfnGene):
-            if g.kernel_size not in config.kernel_domain:
-                violations.append(f"{where}: kernel {g.kernel_size} not in domain "
-                                  f"{config.kernel_domain}")
-        else:
-            if g.num_heads not in config.heads_domain:
-                violations.append(f"{where}: heads {g.num_heads} not in domain "
-                                  f"{config.heads_domain}")
-            if g.head_dim not in config.head_dim_domain:
-                violations.append(f"{where}: head_dim {g.head_dim} not in domain "
-                                  f"{config.head_dim_domain}")
+        for fname in g.searched:
+            _, label, domain = GENE_FIELDS[fname]
+            v, dom = getattr(g, fname), domain(config, si)
+            if v not in dom:
+                violations.append(f"{where}: {label} {v!r} not in domain {dom}")
         if prev_ch is not None and g.out_channels < prev_ch:
             violations.append(f"decreasing channels at block {net_idx} "
                               f"({prev_ch} -> {g.out_channels})")
@@ -353,30 +334,18 @@ def validate(genome, config):
     return violations
 
 
-def _mutable_slots(genome, phase):
-    """All (stage, block, field) slots whose role matches the phase."""
-    wanted = TOPOLOGY_FIELDS if phase == PHASE_TOPOLOGY else SIZE_FIELDS
-    slots = []
-    for si, bi, g in genome.blocks():
-        present = ("ffn_type", "out_channels", "expansion_ratio")
-        present += ("kernel_size",) if isinstance(g, FfnGene) else ("num_heads", "head_dim")
-        slots.extend((si, bi, f) for f in present if f in wanted)
-    return slots
-
-
 def mutate(genome, config, phase, n_mutations, seed):
     """Resample n gene fields of the given role uniformly from their domains."""
     if phase not in (PHASE_TOPOLOGY, PHASE_SIZE):
         raise ValueError(f"unknown phase {phase!r}")
     rng = np.random.default_rng(seed)
-    slots = _mutable_slots(genome, phase)
+    slots = [(si, bi, f) for si, bi, g in genome.blocks()
+             for f in g.searched if GENE_FIELDS[f][0] == phase]
     n = min(n_mutations, len(slots))
     chosen = [slots[i] for i in rng.choice(len(slots), size=n, replace=False)] if n else []
     stages = [[replace(g) for g in stage] for stage in genome.stages]
     for si, bi, fname in chosen:
-        dom = _field_domain(config, si, fname)
-        val = dom[rng.integers(len(dom))]
-        stages[si][bi] = replace(stages[si][bi], **{fname: val})
+        stages[si][bi] = replace(stages[si][bi], **{fname: _draw(rng, config, si, fname)})
     return repair_channels(ArchGenome(stages=stages, config_ref=genome.config_ref))
 
 
@@ -394,9 +363,7 @@ def crossover(parent_a, parent_b, config, seed):
             if type(ga) is not type(gb):
                 genes.append(replace(ga if rng.random() < 0.5 else gb))
                 continue
-            fields = ("ffn_type", "out_channels", "expansion_ratio")
-            fields += ("kernel_size",) if isinstance(ga, FfnGene) else ("num_heads", "head_dim")
-            picks = {f: getattr(ga if rng.random() < 0.5 else gb, f) for f in fields}
+            picks = {f: getattr(ga if rng.random() < 0.5 else gb, f) for f in ga.searched}
             genes.append(replace(ga, **picks))
         stages.append(genes)
     child = ArchGenome(stages=stages, config_ref=parent_a.config_ref)
@@ -411,10 +378,3 @@ def count_params(genome, config):
     from . import netgraph
 
     return netgraph.count_graph_params(netgraph.build_structure(genome, config))
-
-
-def count_macs(genome, config):
-    """Multiply-accumulate count of one forward pass at the configured resolution."""
-    from . import netgraph
-
-    return netgraph.count_graph_macs(netgraph.build_structure(genome, config))

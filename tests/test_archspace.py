@@ -1,11 +1,15 @@
+import hashlib
 import json
 import math
 import pickle
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from esnas import archspace, netgraph
 from esnas.archspace import (
@@ -21,6 +25,10 @@ from esnas.archspace import (
     repair_channels,
     validate,
 )
+
+
+def count_macs(genome, config):
+    return netgraph.count_graph_macs(netgraph.build_structure(genome, config))
 
 
 def size_fields_multiset(genome):
@@ -69,6 +77,36 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="'input_resolutoin'"):
             SearchSpaceConfig.from_dict({"input_resolutoin": 32})
+
+    @pytest.mark.parametrize("key, dom, problem", [
+        ("kernel_domain", [3.0, 5.0, 7.0], "kernel_domain must hold integers"),
+        ("expansion_domain", [True, 2], "expansion_domain must hold integers"),
+        ("heads_domain", [2, 4.0], "heads_domain must hold integers"),
+        ("head_dim_domain", [8.0], "head_dim_domain must hold integers"),
+        ("channel_domain", [[16, 24, 32], [32, 48.0, 64], [64, 96, 128],
+                            [128, 176, 224]], "channel_domain[1] must hold integers"),
+        # zero sizes and head counts failed inside graph construction
+        ("expansion_domain", [0, 2], "expansion_domain must hold values >= 1"),
+        ("heads_domain", [0], "heads_domain must hold values >= 1"),
+        ("head_dim_domain", [-8, 8], "head_dim_domain must hold values >= 1"),
+        ("channel_domain", [[-8, 16], [32], [64], [128]],
+         "channel_domain[0] must hold values >= 1"),
+    ])
+    def test_domains_hold_positive_integers(self, key, dom, problem):
+        with pytest.raises(ConfigError, match=re.escape(problem)):
+            SearchSpaceConfig(**{key: dom}).validate()
+
+    @pytest.mark.parametrize("chans", [[[64], [8]], [[8, 16, 24, 32], [16]]])
+    def test_channel_ranges_must_not_fall(self, chans):
+        # sort-repair would move a channel out of its stage's menu
+        with pytest.raises(ConfigError, match="must not fall"):
+            SearchSpaceConfig(num_stages=2, blocks_per_stage=[1, 1],
+                              attention_stages=set(), channel_domain=chans).validate()
+
+    def test_fewer_channel_lists_than_stages(self):
+        with pytest.raises(ConfigError, match="channel_domain has 2 stage lists"):
+            SearchSpaceConfig(num_stages=3, blocks_per_stage=[1, 1, 1],
+                              attention_stages=set(), channel_domain=[[8], [16]]).validate()
 
 
 class TestRandomGenome:
@@ -182,6 +220,77 @@ class TestCrossover:
         assert abs(from_a - n / 2) < 3 * sigma
 
 
+TOPOLOGY_FIELDS = {"ffn_type", "kernel_size", "num_heads"}
+
+
+def fields_of_role(genome, phase):
+    """(stage, block, kind, field, value) of every field in the given role."""
+    return [(si, bi, g.kind, f, v) for si, bi, g in genome.blocks()
+            for f, v in vars(g).items() if (f in TOPOLOGY_FIELDS) == (phase == PHASE_TOPOLOGY)]
+
+
+def sorted_subset(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3,
+                    unique=True).map(sorted)
+
+
+@st.composite
+def small_configs(draw):
+    """Small random spaces; channel menus are any sorted subsets of one grid,
+    kept only when SearchSpaceConfig.validate accepts them."""
+    n = draw(st.integers(1, 3))
+    try:
+        cfg = SearchSpaceConfig(
+            num_stages=n,
+            blocks_per_stage=draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+            attention_stages=draw(st.sets(st.integers(1, n))),
+            stem_channels=8,
+            channel_domain=draw(st.lists(sorted_subset([8, 16, 24, 32, 48, 64]),
+                                         min_size=n, max_size=n)),
+            kernel_domain=draw(sorted_subset([3, 5, 7])),
+            expansion_domain=draw(sorted_subset([1, 2, 3, 4])),
+            heads_domain=draw(sorted_subset([1, 2, 4])),
+            head_dim_domain=draw(sorted_subset([4, 8, 16])),
+            ffn_types=draw(st.lists(st.sampled_from(["ibn", "convnext"]),
+                                    min_size=1, max_size=2, unique=True)),
+            attention_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            input_resolution=16,
+        ).validate()
+    except ConfigError:
+        assume(False)
+    return cfg
+
+
+class TestOperatorProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(cfg=small_configs(), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 4))
+    def test_operators_stay_in_space(self, cfg, seed, n):
+        g = random_genome(cfg, seed)
+        other = random_genome(cfg, seed + 1)
+        assert validate(g, cfg) == []
+        assert validate(crossover(g, other, cfg, seed), cfg) == []
+        for phase in (PHASE_TOPOLOGY, PHASE_SIZE):
+            m = mutate(g, cfg, phase, n, seed)
+            assert validate(m, cfg) == []
+            kept = PHASE_SIZE if phase == PHASE_TOPOLOGY else PHASE_TOPOLOGY
+            assert fields_of_role(m, kept) == fields_of_role(g, kept)
+
+    def test_operator_outputs_pinned(self):
+        # sha256 of the operators' JSON over fixed seeds: any change in draw
+        # order moves every search trajectory and every scoring seed
+        cfg = SearchSpaceConfig(input_resolution=32).validate()
+        h = hashlib.sha256()
+        for s in range(200):
+            g = random_genome(cfg, s)
+            for out in (g, mutate(g, cfg, PHASE_TOPOLOGY, 2, seed=s),
+                        mutate(g, cfg, PHASE_SIZE, 2, seed=s),
+                        crossover(g, random_genome(cfg, s + 200), cfg, seed=s)):
+                h.update(out.to_json().encode() + b"\n")
+        assert h.hexdigest() == \
+            "f5ae384d1536be30ae8f63ef739d17f2ccf6030a8fa5cffffc8d177838544d67"
+
+
 class TestRepair:
     def test_preserves_multiset_and_sorts(self, tiny_config):
         g = ArchGenome(stages=[[FfnGene("ibn", 16, 3, 2), FfnGene("ibn", 8, 3, 2)]],
@@ -234,7 +343,7 @@ class TestCounting:
         genomes = [random_genome(attn_config, s) for s in range(10)]
         enumerated = [netgraph.count_graph_params(
             netgraph.build_graph(g, attn_config, seed=0)) for g in genomes]
-        macs = [archspace.count_macs(g, attn_config) for g in genomes]
+        macs = [count_macs(g, attn_config) for g in genomes]
 
         def no_draws(*args, **kwargs):
             raise AssertionError("counting drew random numbers")
@@ -243,7 +352,7 @@ class TestCounting:
         monkeypatch.setattr(netgraph, "reinit", no_draws)
         assert [archspace.count_params(g, attn_config)
                 for g in genomes] == enumerated
-        assert [archspace.count_macs(g, attn_config) for g in genomes] == macs
+        assert [count_macs(g, attn_config) for g in genomes] == macs
 
     def test_macs_pointwise_conv(self):
         b = netgraph._Builder((8, 4, 4))
@@ -273,7 +382,7 @@ class TestCounting:
                     a_shape = graph.out_shapes[src]
                     inner = a_shape[-2] if node.attrs["transpose_a"] else a_shape[-1]
                     total += int(np.prod(shape[:-2])) * shape[-2] * shape[-1] * inner
-            assert archspace.count_macs(g, attn_config) == total
+            assert count_macs(g, attn_config) == total
 
     def test_counts_seed_independent(self, attn_config):
         g = random_genome(attn_config, 3)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from esnas import archspace, bench, cli
+from esnas import archspace, bench, cli, netgraph
 from esnas.archspace import random_genome
 
 
@@ -138,7 +138,8 @@ class TestStats:
         stats = json.loads(out)
         g = archspace.ArchGenome.from_json(genome_file.read_text())
         assert stats["params"] == archspace.count_params(g, tiny_config)
-        assert stats["macs"] == archspace.count_macs(g, tiny_config)
+        assert stats["macs"] == netgraph.count_graph_macs(
+            netgraph.build_structure(g, tiny_config))
 
     def test_genome_outside_space_exits_2(self, tmp_path, space_file, capsys):
         bad = tmp_path / "bad.json"
@@ -259,6 +260,21 @@ class TestSearch:
         code, _, err = run(["search", "--config", str(p),
                             "--out", str(tmp_path / "y")], capsys)
         assert code == 2
+
+    def test_float_domain_exits_2_before_scoring(self, tmp_path, search_config_file,
+                                                 capsys):
+        # mutation copies domain values into genes, so 5.0 would fail
+        # genome validation partway through the search
+        cfg = json.loads(search_config_file.read_text())
+        cfg["space"]["kernel_domain"] = [3.0, 5.0]
+        search_config_file.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        code, out, err = run(["search", "--config", str(search_config_file),
+                              "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["details"] == [
+            "space: kernel_domain must hold integers: [3.0, 5.0]"]
+        assert not out_dir.exists()
 
 
 class TestCorrelate:
