@@ -111,6 +111,7 @@ class SearchSpaceConfig:
                 f"channel_domain has {len(self.channel_domain)} stage lists, "
                 f"expected {self.num_stages}"
             )
+        reported = set()  # domains left out of the checks below
         for name, dom in [
             ("kernel_domain", self.kernel_domain),
             ("expansion_domain", self.expansion_domain),
@@ -119,14 +120,19 @@ class SearchSpaceConfig:
             *[(f"channel_domain[{i}]", d) for i, d in enumerate(self.channel_domain)],
         ]:
             if not dom:
-                problems.append(f"{name} is empty")
+                problem = f"{name} is empty"
             elif any(type(v) is not int for v in dom):  # genes take domain values as is
-                problems.append(f"{name} must hold integers: {dom}")
+                problem = f"{name} must hold integers: {dom}"
             elif min(dom) < 1:
-                problems.append(f"{name} must hold values >= 1: {dom}")
+                problem = f"{name} must hold values >= 1: {dom}"
             elif any(b <= a for a, b in zip(dom, dom[1:])):
-                problems.append(f"{name} is not strictly increasing: {dom}")
-        if any(k < 3 or k % 2 == 0 for k in self.kernel_domain):
+                problem = f"{name} is not strictly increasing: {dom}"
+            else:
+                continue
+            problems.append(problem)
+            reported.add(name)
+        if "kernel_domain" not in reported and any(
+                k < 3 or k % 2 == 0 for k in self.kernel_domain):
             problems.append(f"kernel_domain must hold odd values >= 3: {self.kernel_domain}")
         for s in self.attention_stages:
             if not 1 <= s <= self.num_stages:
@@ -144,7 +150,8 @@ class SearchSpaceConfig:
             problems.append("max_params must be >= 1")
         # Stage ranges that never fall and a shared grid on domain overlaps keep
         # sort-repair closed over the space.
-        chans = self.channel_domain
+        chans = [[] if f"channel_domain[{i}]" in reported else d
+                 for i, d in enumerate(self.channel_domain)]
         if all(chans) and any(b[0] < a[0] or b[-1] < a[-1] for a, b in zip(chans, chans[1:])):
             problems.append(f"channel_domain stage ranges must not fall from one "
                             f"stage to the next: {chans}")

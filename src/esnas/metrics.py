@@ -3,15 +3,21 @@
 An entropic forward takes each tap's entropy as the tap is produced and
 frees each activation after its last use; the log-SynFlow backward frees
 values and gradients behind it and reduces each parameter gradient to its
-term at once.  Scoring runs with OpenBLAS at one thread.
+term at once.  Scoring runs with OpenBLAS at one thread, and
+``score_genome`` runs each candidate's log-SynFlow pass in a persistent
+forked helper process beside its entropic repeats.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -163,9 +169,17 @@ def derive_seeds(genome, base_seed, n):
     return [int(s.generate_state(1)[0]) for s in root.spawn(n)]
 
 
-# Smaller candidates score every pass on the calling thread: their passes
-# are short and Python-bound, so a second thread only contends for the GIL.
+# score_genome's log-SynFlow pass runs in one persistent helper process,
+# forked on first use, beside the entropic repeats on the calling thread: a
+# process, because the passes are Python-bound and two threads would share
+# the interpreter lock.
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+# Smaller candidates score every pass on the calling thread: a 40 kMAC toy
+# candidate takes ~3 ms serially and ~0.5 ms more with the helper, whose
+# request, reply and second layout cost more than its pass saves.
 HELPER_MIN_MACS = 1_000_000
+_helper = None
+_helper_lock = threading.Lock()  # held by the one call using the helper
 _helper_allowed = True
 
 
@@ -176,12 +190,145 @@ def serial_passes():
     _helper_allowed = False
 
 
-def _use_helper(macs):
-    if not _helper_allowed or macs < HELPER_MIN_MACS:
-        return False
+class _Helper:
+    """A forked process that runs log-SynFlow passes on request.
+
+    Requests and replies carry a sequence number: a reply to a request the
+    caller abandoned (its entropic repeats raised) is skipped when the next
+    reply is read, never taken for a later candidate's.
+    """
+
+    def __init__(self):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(target=_serve, args=(child_end, self.conn),
+                                   name="esnas-logsynflow", daemon=True)
+        self.process.start()
+        child_end.close()
+        self.sent = 0
+
+    def request(self, genome, config, seed):
+        """Send a request; False, with nothing sent, if it does not pickle
+        (as with two copies of this package in one process)."""
+        try:
+            message = pickle.dumps((genome, config, seed))
+        except Exception:  # noqa: BLE001 - the calling thread scores it
+            return False
+        self.sent += 1
+        self.conn.send((self.sent, message))
+        return True
+
+    def reply(self):
+        """(value, error) for the latest request."""
+        while True:
+            seq, value, error = self.conn.recv()
+            if seq == self.sent:
+                return value, error
+
+
+def _serve(conn, caller_end):
+    """The helper process: answer each ``(seq, pickled (genome, config,
+    seed))`` with ``(seq, log-SynFlow value, None)`` or ``(seq, None, the
+    error)`` until the caller's end closes.  The pass is score_genome's own: the same
+    layout, rewrite and redraw, so the same value."""
+    caller_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
+    while True:
+        try:
+            seq, message = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (seq, _logsynflow_pass(*pickle.loads(message)), None)
+        except Exception as e:  # noqa: BLE001 - the caller raises it
+            # without its traceback, which would keep the pass's arrays
+            reply = (seq, None, e.with_traceback(None))
+        try:
+            conn.send(reply)
+        except OSError:  # the caller is gone
+            return
+        except Exception:  # noqa: BLE001 - an error that does not pickle:
+            conn.send((seq, None, None))  # the caller reruns the pass
+
+
+def _logsynflow_pass(genome, config, seed):
+    prepared = netgraph.prepare_for_scoring(
+        netgraph.build_structure(genome, config))
+    last = netgraph.reinit(prepared, seed)
+    del prepared
+    return logsynflow(last)
+
+
+def _stop_helper():
+    """Stop the helper process, if any; the next call forks a new one."""
+    global _helper
+    if _helper is not None:
+        helper, _helper = _helper, None
+        helper.conn.close()
+        helper.process.terminate()
+        helper.process.join()
+
+
+def _forget_helper():
+    """In a forked child, the parent's helper and its lock are not ours."""
+    global _helper, _helper_lock
+    if _helper is not None:
+        _helper.conn.close()
+        _helper = None
+    _helper_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+@contextlib.contextmanager
+def _logsynflow_in_helper(genome, config, seed, macs):
+    """Send the candidate's log-SynFlow pass to the helper process and yield
+    the helper, which only this call uses until the block ends.  Yields None
+    when the calling thread runs the pass itself: for a candidate below
+    HELPER_MIN_MACS, on one usable CPU, in a pool worker or daemon process,
+    without "fork", while another thread uses the helper, for a request
+    that does not pickle, or when the helper cannot be started or has
+    died."""
+    global _helper
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return cpus >= 2
+    if not (_helper_allowed and macs >= HELPER_MIN_MACS and _CAN_FORK
+            and cpus >= 2 and not multiprocessing.current_process().daemon) \
+            or not _helper_lock.acquire(blocking=False):
+        yield None
+        return
+    try:
+        helper = None
+        try:
+            if _helper is None:
+                _helper = _Helper()
+            if _helper.request(genome, config, seed):
+                helper = _helper
+        except BaseException as e:
+            # the fork failed, the helper died, or a request was cut short
+            _stop_helper()
+            if not isinstance(e, OSError):
+                raise
+        yield helper
+    finally:
+        _helper_lock.release()
+
+
+def _helper_reply(helper):
+    """The helper's log-SynFlow value, or None if it died first; the error
+    its pass raised is raised here."""
+    try:
+        value, error = helper.reply()
+    except BaseException as e:
+        # died, or a reply left half-read: a fresh helper on the next call
+        _stop_helper()
+        if not isinstance(e, (EOFError, OSError)):
+            raise
+        return None
+    if error is not None:
+        raise error
+    return value
 
 
 @netgraph.one_blas_thread()
@@ -192,28 +339,25 @@ def score_genome(genome, config, cfg=None, base_seed=0):
     the counts and is rewritten for scoring once, and every proxy pass (the
     entropic repeats, then log-SynFlow from the last seed) re-initialises
     that one rewritten graph.  For a large enough candidate on two or more
-    CPUs, log-SynFlow runs on a helper thread owned by this call while the
-    entropic repeats run here; their exception wins, as in serial order.
+    usable CPUs, log-SynFlow runs in the helper process, which lays the
+    genome out and rewrites it the same way, while the entropic repeats run
+    here; their exception wins, as in serial order.
     """
     cfg = (cfg or EntropicConfig()).validate()
     seeds = derive_seeds(genome, base_seed, cfg.repeats + 1)
     structure = netgraph.build_structure(genome, config)
     params = netgraph.count_graph_params(structure)
     macs = netgraph.count_graph_macs(structure)
-    # free each weight set (8 bytes a parameter) once nothing reads it: the
-    # structure after the rewrite, the rewritten graph after its last redraw
-    prepared = netgraph.prepare_for_scoring(structure)
-    del structure
-    if _use_helper(macs):
-        with ThreadPoolExecutor(1) as helper:
-            pending = helper.submit(
-                lambda: logsynflow(netgraph.reinit(prepared, seeds[-1])))
-            entropic, per_repeat = entropic_score(
-                prepared, cfg, seeds[:-1], return_per_repeat=True)
-        lsf = pending.result()
-    else:
+    with _logsynflow_in_helper(genome, config, seeds[-1], macs) as helper:
+        # free each weight set (8 bytes a parameter) once nothing reads it:
+        # the structure after the rewrite, the rewritten graph after its
+        # last redraw
+        prepared = netgraph.prepare_for_scoring(structure)
+        del structure
         entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
                                               return_per_repeat=True)
+        lsf = None if helper is None else _helper_reply(helper)
+    if lsf is None:
         last = netgraph.reinit(prepared, seeds[-1])
         del prepared
         lsf = logsynflow(last)

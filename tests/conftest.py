@@ -1,7 +1,6 @@
 import itertools
 import math
 import os
-import threading
 
 import pytest
 
@@ -91,26 +90,35 @@ def enumerate_space(config):
 
 
 @pytest.fixture
-def helper_thread(monkeypatch):
+def helper_thread(monkeypatch, tmp_path):
     """``helper_thread(on)`` makes ``score_genome`` run its log-SynFlow pass
-    on the helper thread (True) or on the calling thread (False), whatever
-    the candidate's size and the CPU count.  It returns a list that records,
-    for each log-SynFlow pass from then on, whether it ran off the main
-    thread."""
-    off_main = []
+    in the helper process (True) or on the calling thread (False), whatever
+    the candidate's size and the CPU count.  It returns a function that
+    lists, for each log-SynFlow pass from then on, whether it ran outside
+    the test's process, i.e. in the helper.
+
+    The helper runs the code it was forked with, so each call stops it: the
+    next helper is forked after the test's patches so far.  It is stopped
+    again when the test ends."""
+    passes = tmp_path / "logsynflow-passes"
     logsynflow = metrics.logsynflow
+    test_pid = os.getpid()
 
     def recording(graph):
-        off_main.append(threading.current_thread()
-                        is not threading.main_thread())
+        with open(passes, "a") as fh:
+            fh.write("1" if os.getpid() != test_pid else "0")
         return logsynflow(graph)
+
+    def in_helper():
+        return [c == "1" for c in passes.read_text()] if passes.exists() else []
+
+    def force(on):
+        metrics._stop_helper()
+        monkeypatch.setattr(metrics, "HELPER_MIN_MACS", 0 if on else math.inf)
+        passes.unlink(missing_ok=True)
+        return in_helper
 
     monkeypatch.setattr(metrics, "logsynflow", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-    def force(on):
-        monkeypatch.setattr(metrics, "HELPER_MIN_MACS", 0 if on else math.inf)
-        off_main.clear()
-        return off_main
-
-    return force
+    yield force
+    metrics._stop_helper()

@@ -153,6 +153,15 @@ def blas_threads_row(job):
     return float(10 * int(job[0]) + threads), None
 
 
+def helper_seen_row(job):
+    """A pool job that scores row i as 10 i, plus 1 if its worker sees a
+    helper process (after writing a request to it)."""
+    helper = metrics._helper
+    if helper is not None:
+        helper.request(None, None, 0)
+    return float(10 * int(job[0]) + (helper is not None)), None
+
+
 class TestCorrelateBenchmark:
     def precomputed_table(self, scores, accs):
         return [BenchmarkEntry(accuracy=a, precomputed_scores={"entropic": s})
@@ -226,13 +235,13 @@ class TestCorrelateBenchmark:
 
     def test_pool_after_scoring_on_the_helper_thread(self, tiny_config,
                                                      helper_thread):
-        """The pool forks after a candidate was scored with a helper thread:
+        """The pool forks after a candidate was scored in the helper process:
         no thread outlives that call, and the pool's pairs are the serial
         ones."""
-        off_main = helper_thread(True)
+        in_helper = helper_thread(True)
         threads = threading.enumerate()
         metrics.score_genome(random_genome(tiny_config, 9), tiny_config)
-        assert off_main == [True]
+        assert in_helper() == [True]
         assert threading.enumerate() == threads
         table = [BenchmarkEntry(arch=random_genome(tiny_config, s).to_json(),
                                 accuracy=float(50 + s)) for s in range(4)]
@@ -241,6 +250,23 @@ class TestCorrelateBenchmark:
         _, pooled = correlate_benchmark(table, "logsynflow",
                                         config=tiny_config, workers=2)
         assert pooled == serial
+
+    def test_pool_workers_forget_the_parents_helper(self, tiny_config,
+                                                    helper_thread,
+                                                    monkeypatch):
+        """Workers forked while the parent's helper runs do not see it and
+        never write to its pipe, so the parent's next reply is its own."""
+        helper_thread(True)
+        genome = random_genome(tiny_config, 9)
+        first = metrics.score_genome(genome, tiny_config).to_json()
+        helper = metrics._helper
+        monkeypatch.setattr(bench, "_score_row", helper_seen_row)
+        table = [BenchmarkEntry(arch=str(i), accuracy=float(i))
+                 for i in range(4)]
+        _, pairs = correlate_benchmark(table, "entropic", workers=2)
+        assert [s for s, _ in pairs] == [0.0, 10.0, 20.0, 30.0]
+        assert metrics._helper is helper and not helper.conn.poll()
+        assert metrics.score_genome(genome, tiny_config).to_json() == first
 
     def test_pool_workers_start_at_one_blas_thread(self, monkeypatch):
         """Workers inherit one OpenBLAS thread from the fork, so none has to

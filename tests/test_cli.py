@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,29 @@ class TestScore:
         assert payload["error"]["message"] == "genome fails validation"
         assert payload["error"]["details"] == [
             f"stage 1 block 2: not an integer: {field} {value!r}"]
+
+    def test_leaves_no_helper_process_behind(self, space_file, genome_file):
+        """An ``esnas score`` run that scores in a helper process leaves no
+        such process once the command has exited."""
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "from esnas import cli, metrics\n"
+                  "metrics.HELPER_MIN_MACS = 0\n"
+                  "code = cli.main()\n"
+                  "print(metrics._helper.process.pid, file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "score", "--arch", str(genome_file),
+             "--config", str(space_file)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["logsynflow"] > 0
+        helper_pid = int(done.stderr.split()[-1])
+        with pytest.raises(ProcessLookupError):
+            os.kill(helper_pid, 0)
 
     def test_missing_file_exits_2(self, space_file, capsys):
         code, _, err = run(["score", "--arch", "/nonexistent.json",
@@ -274,6 +300,26 @@ class TestSearch:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["details"] == [
             "space: kernel_domain must hold integers: [3.0, 5.0]"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("space, problem", [
+        ({"kernel_domain": ["3", "5"]},
+         "kernel_domain must hold integers: ['3', '5']"),
+        ({"num_stages": 2, "blocks_per_stage": [1, 1],
+          "channel_domain": [["8", "16"], [16, 24]]},
+         "channel_domain[0] must hold integers: ['8', '16']"),
+    ], ids=["kernel_domain", "channel_domain"])
+    def test_string_domain_exits_2_naming_it(self, tmp_path, search_config_file,
+                                             space, problem, capsys):
+        # the kernel and channel-range checks must not compare the strings
+        cfg = json.loads(search_config_file.read_text())
+        cfg["space"].update(space)
+        search_config_file.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        code, out, err = run(["search", "--config", str(search_config_file),
+                              "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["details"] == [f"space: {problem}"]
         assert not out_dir.exists()
 
 

@@ -1,6 +1,8 @@
 import math
+import multiprocessing
+import os
 import random
-import threading
+import signal
 
 import numpy as np
 import pytest
@@ -375,17 +377,17 @@ def attention_genomes_64px(n):
 
 
 class TestHelperThread:
-    """score_genome's log-SynFlow pass on a helper thread gives the serial
-    path's reports and errors."""
+    """score_genome's log-SynFlow pass in the helper process gives the
+    serial path's reports and errors."""
 
     def test_report_is_the_same_on_either_path(self, helper_thread):
         space, genomes = attention_genomes_64px(3)
         reports = {}
         for on in (False, True):
-            off_main = helper_thread(on)
+            in_helper = helper_thread(on)
             reports[on] = [score_genome(g, space, base_seed=s).to_json()
                            for s, g in enumerate(genomes)]
-            assert off_main == [on] * len(genomes)
+            assert in_helper() == [on] * len(genomes)
         assert reports[True] == reports[False]
 
     def test_logsynflow_error_reaches_the_caller_unchanged(
@@ -394,16 +396,17 @@ class TestHelperThread:
         monkeypatch.setattr(metrics, "_logsynflow_term", lambda theta, g: None)
         errors = {}
         for on in (False, True):
-            helper_thread(on)
+            in_helper = helper_thread(on)
             with pytest.raises(FloatingPointError) as e:
                 score_genome(genome, space)
             errors[on] = (type(e.value), str(e.value))
+            assert in_helper() == [on]  # raised from the helper, not rerun
         assert errors[True] == errors[False]
         assert errors[True][1].startswith("non-finite gradient at node ")
 
     def test_entropic_error_wins(self, helper_thread, monkeypatch):
         space, (genome,) = attention_genomes_64px(1)
-        lsf_failed = threading.Event()
+        lsf_failed = multiprocessing.get_context("fork").Event()
 
         def lsf_fails(theta, grad):
             lsf_failed.set()
@@ -425,11 +428,12 @@ class TestHelperThread:
 
     def test_invalid_genome_raises_before_a_thread_starts(
             self, tiny_config, helper_thread, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a helper thread was started")
+        """No helper is started and no request is sent."""
+        def no_helper(*args, **kwargs):
+            raise AssertionError("a helper was started")
 
         helper_thread(True)
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(metrics, "_Helper", no_helper)
         bad = ArchGenome(stages=[[FfnGene("ibn", 16, 3, 2),
                                   FfnGene("ibn", 8, 3, 2)]])
         with pytest.raises(InvalidGenomeError):
@@ -458,6 +462,7 @@ class TestHelperThread:
             after_return = get_threads()
             monkeypatch.setattr(metrics, "_logsynflow_term",
                                 lambda theta, g: None)
+            helper_thread(True)  # a helper forked with the failing term
             with pytest.raises(FloatingPointError):
                 score_genome(genome, space)
             after_raise = get_threads()
@@ -465,6 +470,83 @@ class TestHelperThread:
             set_threads(before)
         assert (after_return, after_raise) == (2, 2)
         assert inside and set(inside) == {1}
+
+    def test_no_stale_reply_after_an_entropic_failure(self, helper_thread,
+                                                      monkeypatch):
+        """The reply to a candidate abandoned when its entropic repeats
+        raised is skipped, not read as the next candidate's."""
+        space, genomes = attention_genomes_64px(2)
+        helper_thread(False)
+        expected = score_genome(genomes[1], space).to_json()
+        entropy = metrics.layer_entropy
+        failures = [ValueError("entropic repeat failed")]
+
+        def fails_once(*args):
+            if failures:
+                raise failures.pop()
+            return entropy(*args)
+
+        monkeypatch.setattr(metrics, "layer_entropy", fails_once)
+        in_helper = helper_thread(True)
+        with pytest.raises(ValueError, match="entropic repeat failed"):
+            score_genome(genomes[0], space)
+        assert score_genome(genomes[1], space).to_json() == expected
+        assert in_helper() == [True, True]
+
+    def test_helper_killed_between_candidates(self, helper_thread):
+        """The candidate after the helper died scores on the calling thread
+        with the same report, and the next one forks a fresh helper."""
+        space, genomes = attention_genomes_64px(3)
+        helper_thread(False)
+        expected = [score_genome(g, space).to_json() for g in genomes]
+        in_helper = helper_thread(True)
+        reports = [score_genome(genomes[0], space).to_json()]
+        killed = metrics._helper
+        os.kill(killed.process.pid, signal.SIGKILL)
+        killed.process.join(timeout=60)
+        assert killed.process.exitcode == -signal.SIGKILL
+        reports += [score_genome(g, space).to_json() for g in genomes[1:]]
+        assert reports == expected
+        assert in_helper() == [True, False, True]
+        assert metrics._helper not in (None, killed)
+
+    def test_small_candidates_score_serially(self, tiny_config, helper_thread,
+                                             monkeypatch):
+        """A candidate below HELPER_MIN_MACS runs every pass on the calling
+        thread; a larger one sends its log-SynFlow pass to the helper."""
+        min_macs = metrics.HELPER_MIN_MACS
+        in_helper = helper_thread(True)
+        monkeypatch.setattr(metrics, "HELPER_MIN_MACS", min_macs)
+        space, (large,) = attention_genomes_64px(1)
+        small = score_genome(random_genome(tiny_config, 0), tiny_config)
+        assert small.macs < min_macs <= score_genome(large, space).macs
+        assert in_helper() == [False, True]
+
+    def test_request_that_does_not_pickle_scores_serially(self, tiny_config,
+                                                          helper_thread):
+        """A genome the helper cannot be sent (an instance of a local class)
+        is scored on the calling thread, with the same report."""
+        class LocalGenome(ArchGenome):
+            pass
+
+        genome = random_genome(tiny_config, 3)
+        local = LocalGenome(stages=genome.stages, config_ref=genome.config_ref)
+        helper_thread(False)
+        expected = score_genome(genome, tiny_config).to_json()
+        in_helper = helper_thread(True)
+        assert score_genome(local, tiny_config).to_json() == expected
+        assert score_genome(genome, tiny_config).to_json() == expected
+        assert in_helper() == [False, True]
+
+    def test_daemon_process_scores_serially(self, tiny_config,
+                                            helper_thread):
+        """A daemonic process, such as a multiprocessing.Pool worker, may
+        not fork the helper, so it runs every pass itself."""
+        helper_thread(True)
+        genome = random_genome(tiny_config, 3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pooled = pool.apply(score_genome, (genome, tiny_config))
+        assert pooled.to_json() == score_genome(genome, tiny_config).to_json()
 
 
 class TestEntropicConfig:
