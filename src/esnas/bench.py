@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import archspace, metrics, netgraph
 
@@ -118,11 +117,27 @@ def kendall_tau(xs, ys):
     return float(concord_minus_discord) / denom
 
 
+def _average_ranks(a):
+    """Ranks from 1 in which ties share their mean rank, exactly (as
+    ``scipy.stats.rankdata(a, method="average")``)."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    # runs of equal sorted values: the run [lo, hi) holds ranks lo+1 .. hi
+    lo = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    hi = np.append(lo[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(0.5 * (lo + hi + 1), hi - lo)
+    return ranks
+
+
 def spearman_rho(xs, ys):
-    """Pearson correlation of average-ranked data (ties share the mean rank)."""
+    """Pearson correlation of average-ranked data (ties share the mean rank).
+    NaN anywhere gives NaN."""
     xs, ys = _check_vectors(xs, ys)
-    rx = rankdata(xs, method="average")
-    ry = rankdata(ys, method="average")
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        return math.nan
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     denom = math.sqrt(float(np.sum(dx * dx)) * float(np.sum(dy * dy)))
@@ -132,14 +147,16 @@ def spearman_rho(xs, ys):
 
 
 def _score_row(job):
-    """Parse and score one row: ``(score, None)``, or ``(None, reason)`` if it
-    fails, returned rather than raised so pool and serial runs agree."""
+    """Parse a row and compute its one proxy: ``(score, None)``, or
+    ``(None, reason)`` if that fails, returned rather than raised so pool and
+    serial runs agree."""
     arch, metric_name, config, entropic_cfg, base_seed = job
     try:
         genome = arch if isinstance(arch, archspace.ArchGenome) \
             else archspace.ArchGenome.from_json(arch)
         report = metrics.score_genome(genome, config, entropic_cfg,
-                                      base_seed=base_seed)
+                                      base_seed=base_seed,
+                                      proxies=(metric_name,))
         return getattr(report, metric_name), None
     except Exception as e:  # noqa: BLE001 - any failure skips just this row
         return None, f"{type(e).__name__}: {e}"
@@ -150,11 +167,12 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     """Correlate one metric against accuracy over the benchmark entries.
 
     Entries with a precomputed score for the metric are used directly;
-    otherwise the architecture is instantiated and scored, in a pool of
-    ``workers`` processes when ``workers > 1``, each scoring serially.  Rows
-    that can do neither are skipped, counted, logged and listed in the report
-    with their reason and row number (the entry's CSV row, else its position
-    in ``table`` from 1).
+    otherwise the architecture is instantiated and only the named proxy is
+    computed, in a pool of ``workers`` processes when ``workers > 1``, each
+    scoring serially.  Rows that can do neither (the genome does not parse
+    or validate, or the proxy fails) are skipped, counted, logged and listed
+    in the report with their reason and row number (the entry's CSV row,
+    else its position in ``table`` from 1).
     Pairs keep table order.
     """
     if not table:

@@ -10,6 +10,7 @@ forked helper process beside its entropic repeats.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import hashlib
 import json
@@ -18,6 +19,7 @@ import os
 import pickle
 import signal
 import threading
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,11 +53,15 @@ class EntropicConfig:
         return cls(**d).validate()
 
 
+# The proxies score_genome can compute, in the order it runs them.
+PROXIES = ("entropic", "logsynflow")
+
+
 @dataclass
 class ScoreReport:
-    entropic: float
-    entropic_per_repeat: list[float]
-    logsynflow: float
+    entropic: float | None  # None: the proxy was not computed
+    entropic_per_repeat: list[float] | None
+    logsynflow: float | None
     params: int
     macs: int
     seeds: list[int]
@@ -102,7 +108,8 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
     """Average over repeats of the summed per-tap entropy of a scoring pass.
 
     Each repeat re-initialises the weights and redraws the input from its own
-    seed.  The graph is prepared for scoring (normalisation suppression, ReLU
+    seed; a repeat whose entropy sum is not finite raises FloatingPointError.
+    The graph is prepared for scoring (normalisation suppression, ReLU
     substitution, absolute weights) once, unless it is already in scoring
     mode, and each repeat re-initialises the prepared graph, which equals
     preparing each re-initialised graph.
@@ -116,7 +123,7 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
         return layer_entropy(normalize_activations(tap, cfg), cfg.epsilon)
 
     per_repeat = []
-    for seed in seeds:
+    for r, seed in enumerate(seeds):
         wseed, xseed = np.random.SeedSequence(seed).spawn(2)
         x = np.random.default_rng(xseed).uniform(
             cfg.input_low, cfg.input_high, graph.input_shape)
@@ -124,6 +131,9 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
         _, terms = netgraph.forward(netgraph.reinit(prepared, wseed), x,
                                     tap=entropy)
         per_repeat.append(float(sum(terms)))
+        if not np.isfinite(per_repeat[-1]):
+            raise FloatingPointError(
+                f"non-finite entropy sum in repeat {r} (seed {seed})")
     score = float(np.mean(per_repeat))
     if return_per_repeat:
         return score, per_repeat
@@ -225,6 +235,13 @@ class _Helper:
             if seq == self.sent:
                 return value, error
 
+    def __del__(self):
+        # as an unclosed file does: a helper dropped without _stop_helper
+        # has leaked its pipe, and its process runs on
+        if not self.conn.closed:
+            warnings.warn(f"unstopped log-SynFlow helper {self.process!r}",
+                          ResourceWarning, source=self)
+
 
 def _serve(conn, caller_end):
     """The helper process: answer each ``(seq, pickled (genome, config,
@@ -254,9 +271,7 @@ def _serve(conn, caller_end):
 def _logsynflow_pass(genome, config, seed):
     prepared = netgraph.prepare_for_scoring(
         netgraph.build_structure(genome, config))
-    last = netgraph.reinit(prepared, seed)
-    del prepared
-    return logsynflow(last)
+    return logsynflow(netgraph.reinit(prepared, seed))
 
 
 def _stop_helper():
@@ -267,6 +282,10 @@ def _stop_helper():
         helper.conn.close()
         helper.process.terminate()
         helper.process.join()
+
+
+# stopped at exit, so that no helper is left for __del__ to warn about
+atexit.register(_stop_helper)
 
 
 def _forget_helper():
@@ -332,35 +351,42 @@ def _helper_reply(helper):
 
 
 @netgraph.one_blas_thread()
-def score_genome(genome, config, cfg=None, base_seed=0):
-    """Full proxy report for one candidate; deterministic in (genome, base_seed).
+def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
+    """Proxy report for one candidate; deterministic in (genome, base_seed).
+
+    ``proxies`` names the proxies to compute, some of PROXIES; the report's
+    fields of any other are None.  Seeds and counts do not depend on it, and
+    each proxy computed has the value of the full report.
 
     One pass: the genome is validated and laid out once, its structure gives
     the counts and is rewritten for scoring once, and every proxy pass (the
     entropic repeats, then log-SynFlow from the last seed) re-initialises
-    that one rewritten graph.  For a large enough candidate on two or more
-    usable CPUs, log-SynFlow runs in the helper process, which lays the
-    genome out and rewrites it the same way, while the entropic repeats run
-    here; their exception wins, as in serial order.
+    that one rewritten graph.  When both proxies are computed, for a large
+    enough candidate on two or more usable CPUs, log-SynFlow runs in the
+    helper process, which lays the genome out and rewrites it the same way,
+    while the entropic repeats run here; their exception wins, as in serial
+    order.  One proxy runs all its passes here.
     """
     cfg = (cfg or EntropicConfig()).validate()
+    if not proxies or not set(proxies) <= set(PROXIES):
+        raise ValueError(f"proxies must name some of {PROXIES}, "
+                         f"got {proxies!r}")
     seeds = derive_seeds(genome, base_seed, cfg.repeats + 1)
     structure = netgraph.build_structure(genome, config)
     params = netgraph.count_graph_params(structure)
     macs = netgraph.count_graph_macs(structure)
-    with _logsynflow_in_helper(genome, config, seeds[-1], macs) as helper:
-        # free each weight set (8 bytes a parameter) once nothing reads it:
-        # the structure after the rewrite, the rewritten graph after its
-        # last redraw
+    entropic = per_repeat = lsf = None
+    with (_logsynflow_in_helper(genome, config, seeds[-1], macs)
+          if set(proxies) == set(PROXIES)
+          else contextlib.nullcontext()) as helper:
         prepared = netgraph.prepare_for_scoring(structure)
-        del structure
-        entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
-                                              return_per_repeat=True)
-        lsf = None if helper is None else _helper_reply(helper)
-    if lsf is None:
-        last = netgraph.reinit(prepared, seeds[-1])
-        del prepared
-        lsf = logsynflow(last)
+        if "entropic" in proxies:
+            entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
+                                                  return_per_repeat=True)
+        if helper is not None:
+            lsf = _helper_reply(helper)
+    if "logsynflow" in proxies and lsf is None:
+        lsf = logsynflow(netgraph.reinit(prepared, seeds[-1]))
     return ScoreReport(
         entropic=entropic,
         entropic_per_repeat=per_repeat,

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf
 
 from .archspace import (
     FFN_CONVNEXT,
@@ -250,10 +249,14 @@ def _conv2d_backward(x, node, gout):
 # node forward / backward
 
 def _gelu(x):
+    from scipy.special import erf  # scoring graphs have no GELU
+
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def _gelu_grad(x):
+    from scipy.special import erf
+
     phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * phi
 
@@ -519,11 +522,21 @@ def prepare_for_scoring(graph):
             axis = node.attrs["axis"]
             node.kind = "scale"
             node.attrs = {"factor": 1.0 / g.out_shapes[nid][axis]}
-        node.params = [np.abs(p) for p in node.params]
+        node.params = [_absolute(p) for p in node.params]
     g.activation_taps = [i for i, n in enumerate(g.nodes) if n.kind == "relu"]
     g.scoring_mode = True
     _last_uses(g)  # once here, rather than in each redraw's forward
     return g
+
+
+def _absolute(p):
+    """``np.abs(p)``; a zero-stride parameter (a structure's constant)
+    becomes a zero-stride view of its absolute value, with nothing
+    allocated."""
+    if not p.size or any(p.strides):
+        return np.abs(p)
+    v = p.flat[0]
+    return np.broadcast_to(np.abs(v), p.shape) if np.signbit(v) else p
 
 
 def _uniform(rng, bound, shape):
@@ -630,6 +643,18 @@ def one_blas_thread():
 # ---------------------------------------------------------------------------
 # graph construction from a genome
 
+# Every structure parameter is a read-only zero-stride view of one of these.
+_ZERO = np.zeros(())
+_ONE = np.ones(())
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
+def _unit_norm(ch):
+    """Unit scale and zero shift, as read-only views of the shared
+    constants."""
+    return [np.broadcast_to(_ONE, (ch,)), np.broadcast_to(_ZERO, (ch,))]
+
+
 class _Builder:
     def __init__(self, input_shape):
         self.nodes = []
@@ -648,9 +673,9 @@ class _Builder:
         pad = k // 2
         _, h, w = self.shape(src)
         ho, wo = _conv_out_hw(h, w, k, stride, pad)
-        params = [np.zeros((cout, cin // groups, k, k))]
+        params = [np.broadcast_to(_ZERO, (cout, cin // groups, k, k))]
         if bias:
-            params.append(np.zeros(cout))
+            params.append(np.broadcast_to(_ZERO, (cout,)))
         return self.emit("conv2d", [src], params, (cout, ho, wo),
                          in_ch=cin, out_ch=cout, kernel=k, stride=stride,
                          groups=groups, padding=pad, bias=bias,
@@ -660,12 +685,11 @@ class _Builder:
         return self.emit(kind, [src], None, self.shape(src), **attrs)
 
     def norm_bn(self, src, ch):
-        return self.emit("batchnorm", [src], [np.ones(ch), np.zeros(ch)],
-                         self.shape(src))
+        return self.emit("batchnorm", [src], _unit_norm(ch), self.shape(src))
 
     def norm_ln(self, src, ch):
-        return self.emit("layernorm", [src], [np.ones(ch), np.zeros(ch)],
-                         self.shape(src), eps=1e-6)
+        return self.emit("layernorm", [src], _unit_norm(ch), self.shape(src),
+                         eps=1e-6)
 
 
 def _residual(b, block_in, block_out, cin, cout):
@@ -726,10 +750,11 @@ def _append_mhsa(b, src, cin, heads, head_dim):
 def build_structure(genome, config):
     """Validate a genome and lay out its graph without drawing weights.
 
-    Conv weights and biases are zero-filled and norms hold unit scale and
-    zero shift, so every node, shape and parameter count is final and no
-    random number is drawn: parameter and MAC counts are taken from this.
-    ``build_graph`` adds the seeded weights.
+    Conv weights and biases are zeros and norms hold unit scale and zero
+    shift, each a read-only zero-stride view of one shared constant, so
+    every node, shape and parameter count is final, no random number is
+    drawn and no parameter memory is allocated: parameter and MAC counts
+    are taken from this.  ``build_graph`` adds the seeded weights.
     """
     violations = validate(genome, config)
     if violations:

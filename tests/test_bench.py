@@ -17,6 +17,7 @@ from esnas.bench import (
     sample_entries,
     spearman_rho,
 )
+from esnas.metrics import EntropicConfig
 
 rng = np.random.default_rng(2024)
 
@@ -124,6 +125,30 @@ class TestSpearman:
     def test_constant_vector_raises(self):
         with pytest.raises(CorrelationError, match="constant"):
             spearman_rho([1.0, 2.0, 3.0], [7.0, 7.0, 7.0])
+
+    def test_ranks_and_rho_equal_scipy_bit_for_bit(self):
+        """Average ranks are exact, so rho is the value that scipy's ranks
+        give through the same formula."""
+        for trial in range(50):
+            n = int(rng.integers(2, 200))
+            xs = rng.integers(-5, 5, n) * rng.choice([1.0, 0.1, -2.5])
+            ys = np.round(rng.normal(0, 1, n), 1)
+            assert np.array_equal(bench._average_ranks(xs),
+                                  stats.rankdata(xs, method="average"))
+            assert np.array_equal(bench._average_ranks(ys),
+                                  stats.rankdata(ys, method="average"))
+            if len(set(xs)) < 2 or len(set(ys)) < 2:
+                continue
+            rx = stats.rankdata(xs, method="average")
+            ry = stats.rankdata(ys, method="average")
+            dx, dy = rx - rx.mean(), ry - ry.mean()
+            expected = float(np.sum(dx * dy)) / math.sqrt(
+                float(np.sum(dx * dx)) * float(np.sum(dy * dy)))
+            assert spearman_rho(xs, ys) == expected
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(spearman_rho([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(spearman_rho([1.0, 2.0, 3.0], [math.nan] * 3))
 
 
 class TestMonotoneInvariance:
@@ -286,6 +311,39 @@ class TestCorrelateBenchmark:
             set_threads(before)
         assert [s for s, _ in pairs] == [1.0, 11.0, 21.0, 31.0]
         assert after == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_skipped_only_when_its_proxy_fails(self, attn_config,
+                                                   monkeypatch, workers):
+        """Row 3's entropic repeats overflow: an entropic study skips it with
+        the reason, a log-SynFlow study keeps it.  With every log-SynFlow
+        pass failing, the reverse."""
+        ok, overflows = (random_genome(attn_config, s) for s in (2, 1))
+        table = [BenchmarkEntry(accuracy=a, precomputed_scores={
+                     "entropic": a, "logsynflow": a}) for a in (10.0, 40.0)]
+        table[1:1] = [BenchmarkEntry(arch=g.to_json(), accuracy=a)
+                      for g, a in ((ok, 20.0), (overflows, 30.0))]
+
+        def skipped(metric, entropic_cfg=None):
+            with np.errstate(all="ignore"):
+                report, pairs = correlate_benchmark(
+                    table, metric, config=attn_config,
+                    entropic_cfg=entropic_cfg, workers=workers)
+            assert report.n == len(pairs) == 4 - report.skipped_rows
+            return report.skipped
+
+        wide = EntropicConfig(input_low=-1e300, input_high=1e300)
+        seed = metrics.derive_seeds(overflows, 0, wide.repeats + 1)[1]
+        assert skipped("entropic", wide) == [{
+            "row": 3, "reason": "FloatingPointError: non-finite entropy sum "
+                                f"in repeat 1 (seed {seed})"}]
+        assert skipped("logsynflow", wide) == []
+        monkeypatch.setattr(metrics, "_logsynflow_term", lambda theta, g: None)
+        assert skipped("entropic") == []
+        failed = skipped("logsynflow")
+        assert [f["row"] for f in failed] == [2, 3]
+        assert all(f["reason"].startswith("FloatingPointError: non-finite "
+                                          "gradient at node ") for f in failed)
 
     def test_empty_and_degenerate_tables(self):
         with pytest.raises(CorrelationError):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from esnas import archspace, bench, cli, netgraph
+from esnas import archspace, bench, cli, metrics, netgraph
 from esnas.archspace import random_genome
 
 
@@ -404,6 +404,38 @@ class TestCorrelate:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_outputs_equal_full_report_scoring(self, tmp_path, tiny_config,
+                                               space_file, capsys):
+        """report.json and scatter.csv are byte for byte those of a table
+        holding each row's full-report value, for either metric, serial
+        and pooled."""
+        genomes = [random_genome(tiny_config, s) for s in range(5)]
+        accs = [f"{55.0 + 3 * s % 7}" for s in range(5)]
+        scored = tmp_path / "scored.csv"
+        scored.write_text("arch_json,accuracy\n" + "".join(
+            '"{}",{}\n'.format(g.to_json().replace('"', '""'), a)
+            for g, a in zip(genomes, accs)))
+        reports = [metrics.score_genome(g, tiny_config, base_seed=4)
+                   for g in genomes]
+        for metric in ("entropic", "logsynflow"):
+            given = tmp_path / f"given-{metric}.csv"
+            given.write_text(f"id,score_{metric},accuracy\n" + "".join(
+                f"g{i},{getattr(r, metric)!r},{a}\n"
+                for i, (r, a) in enumerate(zip(reports, accs))))
+            outputs = []
+            for csv_path, workers in ((given, "1"), (scored, "1"),
+                                      (scored, "2")):
+                out_dir = tmp_path / f"{metric}-{csv_path.stem}-{workers}"
+                code, _, err = run(
+                    ["correlate", "--bench", str(csv_path), "--metric",
+                     metric, "--config", str(space_file), "--seed", "4",
+                     "--workers", workers,
+                     "--out", str(out_dir / "report.json")], capsys)
+                assert code == 0, err
+                outputs.append([(out_dir / name).read_bytes() for name in
+                                ("report.json", "scatter.csv")])
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_skipped_rows_keep_csv_row_numbers(self, tmp_path, space_file,
                                                capsys, caplog):
         # data rows 3 and 8 fail to parse; --sample 6 keeps them at
@@ -499,3 +531,17 @@ def test_workers_only_on_correlate(argv, capsys):
         cli.main(argv + ["--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_special():
+    """Importing the command line leaves scipy.stats and scipy.special, about
+    1.3 s of start-up together, unloaded."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, esnas.cli; print(sorted(m for m in"
+         " sys.modules if m.startswith(('scipy.stats', 'scipy.special'))))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

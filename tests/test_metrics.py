@@ -1,8 +1,10 @@
+import json
 import math
 import multiprocessing
 import os
 import random
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from esnas.archspace import (
     random_genome,
 )
 from esnas.metrics import (
+    PROXIES,
     EntropicConfig,
     ScoreReport,
     derive_seeds,
@@ -29,6 +32,9 @@ from esnas.metrics import (
 from esnas.netgraph import INPUT, Graph, _Builder, forward, linear_graph
 
 rng = np.random.default_rng(777)
+
+# An input range wide enough that attention products overflow float64.
+OVERFLOWING_INPUT = EntropicConfig(input_low=-1e300, input_high=1e300)
 
 
 def entropy_reference(tap, epsilon, norm_axis="across_channels"):
@@ -359,12 +365,108 @@ class TestScoreGenome:
         assert abs(rep.entropic - entropic) <= 1e-12 * entropic
         assert abs(rep.logsynflow - lsf) <= 1e-12 * lsf
 
+    def test_non_finite_repeat_raises_naming_it(self, attn_config):
+        """A repeat whose entropy sum is NaN raises rather than entering the
+        report; here the second repeat's attention products overflow."""
+        genome = random_genome(attn_config, 1)
+        seeds = derive_seeds(genome, 0, OVERFLOWING_INPUT.repeats + 1)
+        message = rf"^non-finite entropy sum in repeat 1 \(seed {seeds[1]}\)$"
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match=message):
+            score_genome(genome, attn_config, OVERFLOWING_INPUT)
+
     def test_derive_seeds_pure(self, tiny_config):
         g = random_genome(tiny_config, 4)
         assert derive_seeds(g, 0, 4) == derive_seeds(g, 0, 4)
         assert derive_seeds(g, 0, 4) != derive_seeds(g, 1, 4)
         other = random_genome(tiny_config, 5)
         assert derive_seeds(g, 0, 4) != derive_seeds(other, 0, 4)
+
+
+def stored_224_genomes(n):
+    """The benchmark's 224 px space, base seed and n cheapest stored
+    genomes."""
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "refs" / "score_224.json").read_text())
+    cheapest = sorted(ref["candidates"], key=lambda c: c["cost_s"])[:n]
+    return (SearchSpaceConfig.from_dict(ref["space"]), ref["base_seed"],
+            [ArchGenome.from_json(c["genome"]) for c in cheapest])
+
+
+def one_proxy_cases():
+    """(space, base seed, genome): the pinned 64 px genomes and three stored
+    224 px genomes."""
+    space64 = SearchSpaceConfig(input_resolution=64).validate()
+    space224, base_seed, genomes = stored_224_genomes(3)
+    return ([(space64, 0, random_genome(space64, s)) for s in sorted(PINNED_64PX)]
+            + [(space224, base_seed, g) for g in genomes])
+
+
+class TestOneProxy:
+    """score_genome with one proxy computes that proxy's value of the full
+    report and nothing of the other."""
+
+    def test_equals_the_full_report_bit_for_bit(self):
+        for space, base_seed, genome in one_proxy_cases():
+            full = score_genome(genome, space, base_seed=base_seed).to_dict()
+            for proxies, dropped in ((("entropic",), {"logsynflow": None}),
+                                     (("logsynflow",), {
+                                         "entropic": None,
+                                         "entropic_per_repeat": None})):
+                rep = score_genome(genome, space, base_seed=base_seed,
+                                   proxies=proxies)
+                assert rep.to_json() == ScoreReport(
+                    **{**full, **dropped}).to_json()
+            both = score_genome(genome, space, base_seed=base_seed,
+                                proxies=PROXIES[::-1])
+            assert both.to_dict() == full
+
+    def test_entropic_alone_runs_no_logsynflow_and_no_helper(
+            self, helper_thread, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called for an entropic-only report")
+
+        space, (genome,) = attention_genomes_64px(1)
+        in_helper = helper_thread(True)
+        monkeypatch.setattr(metrics, "_Helper", forbidden)
+        monkeypatch.setattr(netgraph, "backward_param_grads", forbidden)
+        rep = score_genome(genome, space, proxies=("entropic",))
+        assert rep.logsynflow is None and rep.entropic > 0
+        assert in_helper() == []
+        assert metrics._helper is None
+
+    def test_logsynflow_alone_runs_no_entropic_pass_and_no_helper(
+            self, helper_thread, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called for a logsynflow-only report")
+
+        space, (genome,) = attention_genomes_64px(1)
+        in_helper = helper_thread(True)
+        monkeypatch.setattr(metrics, "_Helper", forbidden)
+        monkeypatch.setattr(metrics, "entropic_score", forbidden)
+        rep = score_genome(genome, space, proxies=("logsynflow",))
+        assert rep.entropic is None and rep.logsynflow > 0
+        assert in_helper() == [False]
+
+    def test_failure_of_the_other_proxy_is_not_seen(self, attn_config,
+                                                    monkeypatch):
+        genome = random_genome(attn_config, 1)
+        with np.errstate(all="ignore"):
+            lsf = score_genome(genome, attn_config, OVERFLOWING_INPUT,
+                               proxies=("logsynflow",))
+        assert lsf.logsynflow == score_genome(genome, attn_config).logsynflow
+        monkeypatch.setattr(metrics, "_logsynflow_term", lambda theta, g: None)
+        with pytest.raises(FloatingPointError):
+            score_genome(genome, attn_config)
+        assert score_genome(genome, attn_config,
+                            proxies=("entropic",)).entropic > 0
+
+    @pytest.mark.parametrize("proxies", [(), ("synflow",), "entropic",
+                                         ("entropic", "params")])
+    def test_unknown_proxies_rejected(self, tiny_config, proxies):
+        with pytest.raises(ValueError, match="proxies must name some of"):
+            score_genome(random_genome(tiny_config, 0), tiny_config,
+                         proxies=proxies)
 
 
 def attention_genomes_64px(n):

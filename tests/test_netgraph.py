@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from esnas.netgraph import (
     _Builder,
     backward_param_grads,
     build_graph,
+    build_structure,
+    count_graph_params,
     forward,
     linear_graph,
     prepare_for_scoring,
@@ -531,6 +534,83 @@ class TestReinit:
             if checked == 3:
                 return
         pytest.fail("fewer than 3 attention genomes drawn")
+
+
+def filled(graph):
+    """A copy of the graph whose parameters are writable arrays holding the
+    same values."""
+    g = graph.copy()
+    for node in g.nodes:
+        node.params = [np.array(p) for p in node.params]
+    return g
+
+
+class TestWeightFreeStructure:
+    """build_structure lays a genome out without parameter memory: every
+    parameter is a read-only zero-stride view of one shared constant."""
+
+    def test_parameters_are_read_only_views_of_shared_constants(
+            self, attn_config):
+        structure = build_structure(random_genome(attn_config, 3), attn_config)
+        for node in structure.nodes:
+            for p, value in zip(node.params, (
+                    (1.0, 0.0) if node.kind in netgraph.NORM_KINDS
+                    else (0.0, 0.0))):
+                assert p.strides == (0,) * p.ndim
+                assert np.shares_memory(
+                    p, netgraph._ONE if value else netgraph._ZERO)
+                assert np.all(p == value)
+                assert not p.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    p[(0,) * p.ndim] = 1.0
+        assert all(p.flags.writeable and p.flags.c_contiguous
+                   for _, _, p in reinit(structure, 0).iter_params())
+
+    def test_reads_as_filled_arrays_do(self, attn_config):
+        """Counts, the dump, and forward and backward passes on the
+        structure and on its rewrite equal those of filled arrays."""
+        for seed in range(3):
+            structure = build_structure(random_genome(attn_config, seed),
+                                        attn_config)
+            full = filled(structure)
+            assert structure.dump() == full.dump()
+            assert count_graph_params(structure) == count_graph_params(full)
+            x = rng.uniform(-1, 1, structure.input_shape)
+            for a, b in ((structure, full), (prepare_for_scoring(structure),
+                                             prepare_for_scoring(full))):
+                (out_a, taps_a), (out_b, taps_b) = forward(a, x), forward(b, x)
+                assert np.array_equal(out_a, out_b)
+                assert all(map(np.array_equal, taps_a, taps_b))
+                (out_a, ga), (out_b, gb) = (backward_param_grads(a),
+                                            backward_param_grads(b))
+                assert np.array_equal(out_a, out_b)
+                assert all(map(np.array_equal, ga, gb))
+
+    def test_layout_and_rewrite_allocate_no_parameter_array(self):
+        space = SearchSpaceConfig(input_resolution=224).validate()
+        genome = random_genome(space, 0)
+        tracemalloc.start()
+        try:
+            structure = build_structure(genome, space)
+            layout_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            prepared = prepare_for_scoring(structure)
+            rewrite_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 14.4 MB of parameters; the layout and rewrite take ~0.1-0.2 MB
+        param_bytes = 8 * count_graph_params(structure)
+        assert max(layout_peak, rewrite_peak) < param_bytes / 20
+        assert all(p.strides == (0,) * p.ndim
+                   and np.shares_memory(p, netgraph._ZERO)
+                   for _, _, p in prepared.iter_params())
+
+    def test_rewrite_of_a_negative_constant_is_a_view_of_its_magnitude(self):
+        g = linear_graph(np.ones((2, 3)))
+        g.nodes[0].params = [np.broadcast_to(-2.5, (2, 3))]
+        q = prepare_for_scoring(g).nodes[0].params[0]
+        assert q.strides == (0, 0) and np.array_equal(q, np.full((2, 3), 2.5))
+        assert g.nodes[0].params[0][0, 0] == -2.5
 
 
 class TestDump:
