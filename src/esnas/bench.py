@@ -180,10 +180,9 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     jobs = [(e.arch, metric_name, config, entropic_cfg, base_seed)
             for e in table if metric_name not in e.precomputed_scores]
     if workers > 1 and jobs:
-        # workers fork with OpenBLAS at one thread and score serially: the
-        # pool already keeps the cores busy
-        with netgraph.one_blas_thread(), ProcessPoolExecutor(
-                max_workers=workers, initializer=metrics.serial_passes) as pool:
+        # workers fork with OpenBLAS at one thread and score serially (a
+        # one-proxy row never uses the helper): the pool keeps the cores busy
+        with netgraph.one_blas_thread(), ProcessPoolExecutor(workers) as pool:
             results = iter(list(pool.map(_score_row, jobs)))
     else:
         results = map(_score_row, jobs)

@@ -297,7 +297,7 @@ def build_parser():
     common(p)
     p.add_argument("--bench", required=True, help="benchmark CSV file")
     p.add_argument("--metric", required=True,
-                   choices=["entropic", "logsynflow"])
+                   choices=metrics.PROXIES)
     p.add_argument("--config", help="search-space JSON (needed to score rows)")
     p.add_argument("--sample", type=_positive_int,
                    help="uniform row sample size")

@@ -4,8 +4,9 @@ An entropic forward takes each tap's entropy as the tap is produced and
 frees each activation after its last use; the log-SynFlow backward frees
 values and gradients behind it and reduces each parameter gradient to its
 term at once.  Scoring runs with OpenBLAS at one thread, and
-``score_genome`` runs each candidate's log-SynFlow pass in a persistent
-forked helper process beside its entropic repeats.
+``score_genome`` runs a large candidate's log-SynFlow pass in a persistent
+forked helper process beside its entropic repeats; whatever goes wrong with
+the helper, it is stopped and the calling thread runs the pass.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import signal
 import threading
 import warnings
@@ -183,57 +183,32 @@ def derive_seeds(genome, base_seed, n):
 # forked on first use, beside the entropic repeats on the calling thread: a
 # process, because the passes are Python-bound and two threads would share
 # the interpreter lock.
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 # Smaller candidates score every pass on the calling thread: a 40 kMAC toy
 # candidate takes ~3 ms serially and ~0.5 ms more with the helper, whose
 # request, reply and second layout cost more than its pass saves.
 HELPER_MIN_MACS = 1_000_000
 _helper = None
 _helper_lock = threading.Lock()  # held by the one call using the helper
-_helper_allowed = True
-
-
-def serial_passes():
-    """From now on, score every pass on the calling thread in this process
-    (for pool workers: the pool already keeps the cores busy)."""
-    global _helper_allowed
-    _helper_allowed = False
 
 
 class _Helper:
-    """A forked process that runs log-SynFlow passes on request.
-
-    Requests and replies carry a sequence number: a reply to a request the
-    caller abandoned (its entropic repeats raised) is skipped when the next
-    reply is read, never taken for a later candidate's.
-    """
+    """A forked process that answers each ``(genome, config, seed)`` sent
+    on ``conn`` with ``(log-SynFlow value, None)`` or ``(None, its
+    error)``."""
 
     def __init__(self):
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
         self.process = ctx.Process(target=_serve, args=(child_end, self.conn),
                                    name="esnas-logsynflow", daemon=True)
-        self.process.start()
-        child_end.close()
-        self.sent = 0
-
-    def request(self, genome, config, seed):
-        """Send a request; False, with nothing sent, if it does not pickle
-        (as with two copies of this package in one process)."""
         try:
-            message = pickle.dumps((genome, config, seed))
-        except Exception:  # noqa: BLE001 - the calling thread scores it
-            return False
-        self.sent += 1
-        self.conn.send((self.sent, message))
-        return True
-
-    def reply(self):
-        """(value, error) for the latest request."""
-        while True:
-            seq, value, error = self.conn.recv()
-            if seq == self.sent:
-                return value, error
+            self.process.start()
+        except BaseException:
+            # as in a daemonic process, which may not have children
+            self.conn.close()
+            raise
+        finally:
+            child_end.close()
 
     def __del__(self):
         # as an unclosed file does: a helper dropped without _stop_helper
@@ -244,28 +219,27 @@ class _Helper:
 
 
 def _serve(conn, caller_end):
-    """The helper process: answer each ``(seq, pickled (genome, config,
-    seed))`` with ``(seq, log-SynFlow value, None)`` or ``(seq, None, the
-    error)`` until the caller's end closes.  The pass is score_genome's own: the same
-    layout, rewrite and redraw, so the same value."""
+    """The helper process: answer requests until the caller's end closes.
+    The pass is score_genome's own: the same layout, rewrite and redraw, so
+    the same value.  A reply that cannot be sent (the caller is gone, or the
+    error does not pickle) ends the helper, and the caller reruns the
+    pass."""
     caller_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     while True:
         try:
-            seq, message = conn.recv()
+            genome, config, seed = conn.recv()
         except EOFError:
             return
         try:
-            reply = (seq, _logsynflow_pass(*pickle.loads(message)), None)
+            reply = (_logsynflow_pass(genome, config, seed), None)
         except Exception as e:  # noqa: BLE001 - the caller raises it
             # without its traceback, which would keep the pass's arrays
-            reply = (seq, None, e.with_traceback(None))
+            reply = (None, e.with_traceback(None))
         try:
             conn.send(reply)
-        except OSError:  # the caller is gone
+        except Exception:  # noqa: BLE001 - the caller reruns the pass
             return
-        except Exception:  # noqa: BLE001 - an error that does not pickle:
-            conn.send((seq, None, None))  # the caller reruns the pass
 
 
 def _logsynflow_pass(genome, config, seed):
@@ -275,12 +249,13 @@ def _logsynflow_pass(genome, config, seed):
 
 
 def _stop_helper():
-    """Stop the helper process, if any; the next call forks a new one."""
+    """Stop the helper process, if any; the next call forks a new one.  It
+    ends when it reads the closed pipe or fails to reply: a pass it has been
+    sent is finished first, so every pass sent runs."""
     global _helper
     if _helper is not None:
         helper, _helper = _helper, None
         helper.conn.close()
-        helper.process.terminate()
         helper.process.join()
 
 
@@ -301,53 +276,47 @@ os.register_at_fork(after_in_child=_forget_helper)
 
 
 @contextlib.contextmanager
-def _logsynflow_in_helper(genome, config, seed, macs):
-    """Send the candidate's log-SynFlow pass to the helper process and yield
-    the helper, which only this call uses until the block ends.  Yields None
-    when the calling thread runs the pass itself: for a candidate below
-    HELPER_MIN_MACS, on one usable CPU, in a pool worker or daemon process,
-    without "fork", while another thread uses the helper, for a request
-    that does not pickle, or when the helper cannot be started or has
-    died."""
+def _logsynflow_in_helper(genome, config, seed, wanted):
+    """Send the candidate's log-SynFlow pass to the helper process, if
+    ``wanted`` on two or more usable CPUs while no other thread uses it, and
+    yield ``reply()``: the pass's value, or None when the calling thread is
+    to run the pass.  An error the pass raised is raised by ``reply()``.
+
+    If the helper cannot be started, sent the request or read from, or the
+    block is left before its reply is read, it is stopped, and the next
+    candidate forks a fresh one."""
     global _helper
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if not (_helper_allowed and macs >= HELPER_MIN_MACS and _CAN_FORK
-            and cpus >= 2 and not multiprocessing.current_process().daemon) \
-            or not _helper_lock.acquire(blocking=False):
-        yield None
+    if not (wanted and cpus >= 2 and _helper_lock.acquire(blocking=False)):
+        yield lambda: None
         return
-    try:
-        helper = None
+    sent = read = False
+
+    def reply():
+        nonlocal read
+        if not sent:
+            return None
         try:
+            value, error = _helper.conn.recv()
+        except Exception:  # noqa: BLE001 - died, or its reply does not unpickle
+            return None
+        read = True
+        if error is not None:
+            raise error
+        return value
+
+    try:
+        with contextlib.suppress(Exception):  # the calling thread runs the pass
             if _helper is None:
                 _helper = _Helper()
-            if _helper.request(genome, config, seed):
-                helper = _helper
-        except BaseException as e:
-            # the fork failed, the helper died, or a request was cut short
-            _stop_helper()
-            if not isinstance(e, OSError):
-                raise
-        yield helper
+            _helper.conn.send((genome, config, seed))
+            sent = True
+        yield reply
     finally:
+        if not read:  # failed or abandoned: the next candidate forks afresh
+            _stop_helper()
         _helper_lock.release()
-
-
-def _helper_reply(helper):
-    """The helper's log-SynFlow value, or None if it died first; the error
-    its pass raised is raised here."""
-    try:
-        value, error = helper.reply()
-    except BaseException as e:
-        # died, or a reply left half-read: a fresh helper on the next call
-        _stop_helper()
-        if not isinstance(e, (EOFError, OSError)):
-            raise
-        return None
-    if error is not None:
-        raise error
-    return value
 
 
 @netgraph.one_blas_thread()
@@ -361,11 +330,13 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     One pass: the genome is validated and laid out once, its structure gives
     the counts and is rewritten for scoring once, and every proxy pass (the
     entropic repeats, then log-SynFlow from the last seed) re-initialises
-    that one rewritten graph.  When both proxies are computed, for a large
-    enough candidate on two or more usable CPUs, log-SynFlow runs in the
-    helper process, which lays the genome out and rewrites it the same way,
-    while the entropic repeats run here; their exception wins, as in serial
-    order.  One proxy runs all its passes here.
+    that one rewritten graph.  A full report of a candidate of at least
+    HELPER_MIN_MACS, on two or more usable CPUs while no other thread uses
+    the helper process, runs log-SynFlow there, laid out and rewritten the
+    same way, while the entropic repeats run here; their exception wins, as
+    in serial order, and an error of the helper's pass is raised here.  If
+    anything else goes wrong with the helper, it is stopped and this thread
+    runs the pass.
     """
     cfg = (cfg or EntropicConfig()).validate()
     if not proxies or not set(proxies) <= set(PROXIES):
@@ -375,16 +346,15 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     structure = netgraph.build_structure(genome, config)
     params = netgraph.count_graph_params(structure)
     macs = netgraph.count_graph_macs(structure)
-    entropic = per_repeat = lsf = None
-    with (_logsynflow_in_helper(genome, config, seeds[-1], macs)
-          if set(proxies) == set(PROXIES)
-          else contextlib.nullcontext()) as helper:
+    entropic = per_repeat = None
+    with _logsynflow_in_helper(
+            genome, config, seeds[-1],
+            set(proxies) == set(PROXIES) and macs >= HELPER_MIN_MACS) as reply:
         prepared = netgraph.prepare_for_scoring(structure)
         if "entropic" in proxies:
             entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
                                                   return_per_repeat=True)
-        if helper is not None:
-            lsf = _helper_reply(helper)
+        lsf = reply()
     if "logsynflow" in proxies and lsf is None:
         lsf = logsynflow(netgraph.reinit(prepared, seeds[-1]))
     return ScoreReport(

@@ -276,6 +276,19 @@ class TestOperatorProperties:
             kept = PHASE_SIZE if phase == PHASE_TOPOLOGY else PHASE_TOPOLOGY
             assert fields_of_role(m, kept) == fields_of_role(g, kept)
 
+    @settings(derandomize=True, deadline=None)
+    @given(cfg=small_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_json_round_trips(self, cfg, seed):
+        """Configs and the genomes the operators make survive a trip through
+        JSON text unchanged."""
+        again = SearchSpaceConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg and again.ref() == cfg.ref()
+        g = random_genome(cfg, seed)
+        for out in (g, crossover(g, random_genome(cfg, seed + 1), cfg, seed),
+                    mutate(g, cfg, PHASE_TOPOLOGY, 2, seed),
+                    mutate(g, cfg, PHASE_SIZE, 2, seed)):
+            assert ArchGenome.from_json(out.to_json()) == out
+
     def test_operator_outputs_pinned(self):
         # sha256 of the operators' JSON over fixed seeds: any change in draw
         # order moves every search trajectory and every scoring seed

@@ -1,9 +1,12 @@
+import gc
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import signal
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +451,16 @@ class TestOneProxy:
         assert rep.entropic is None and rep.logsynflow > 0
         assert in_helper() == [False]
 
+    def test_one_proxy_forks_no_helper(self, helper_thread, monkeypatch):
+        """A helper that could start is not started for one proxy (a start
+        that fails would hide it: the calling thread runs the pass then)."""
+        space, (genome,) = attention_genomes_64px(1)
+        in_helper = helper_thread(True)
+        helpers = recorded_helpers(monkeypatch)
+        for proxies in (("entropic",), ("logsynflow",)):
+            score_genome(genome, space, proxies=proxies)
+        assert helpers == [] and in_helper() == [False]
+
     def test_failure_of_the_other_proxy_is_not_seen(self, attn_config,
                                                     monkeypatch):
         genome = random_genome(attn_config, 1)
@@ -476,6 +489,19 @@ def attention_genomes_64px(n):
     genomes = (random_genome(space, s) for s in range(100))
     return space, [g for g in genomes
                    if any(isinstance(b, AttnGene) for _, _, b in g.blocks())][:n]
+
+
+def recorded_helpers(monkeypatch):
+    """The list of the helpers forked from now on, in order."""
+    helpers = []
+    start = metrics._Helper
+
+    def recording():
+        helpers.append(start())
+        return helpers[-1]
+
+    monkeypatch.setattr(metrics, "_Helper", recording)
+    return helpers
 
 
 class TestHelperThread:
@@ -639,6 +665,88 @@ class TestHelperThread:
         assert score_genome(local, tiny_config).to_json() == expected
         assert score_genome(genome, tiny_config).to_json() == expected
         assert in_helper() == [False, True]
+
+    def test_entropic_error_stops_the_helper(self, helper_thread,
+                                              monkeypatch):
+        """A candidate left before its reply is read stops the helper; the
+        next candidate forks a fresh one and gets the serial path's report."""
+        space, genomes = attention_genomes_64px(2)
+        helper_thread(False)
+        expected = score_genome(genomes[1], space).to_json()
+        entropy = metrics.layer_entropy
+        failures = [ValueError("entropic repeat failed")]
+
+        def fails_once(*args):
+            if failures:
+                raise failures.pop()
+            return entropy(*args)
+
+        monkeypatch.setattr(metrics, "layer_entropy", fails_once)
+        helper_thread(True)
+        helpers = recorded_helpers(monkeypatch)
+        with pytest.raises(ValueError, match="entropic repeat failed"):
+            score_genome(genomes[0], space)
+        assert metrics._helper is None
+        assert helpers[0].process.exitcode == 0
+        assert score_genome(genomes[1], space).to_json() == expected
+        assert metrics._helper is helpers[1]
+
+    def test_error_that_does_not_pickle_is_raised_as_serially(
+            self, helper_thread, monkeypatch, capfd):
+        """A pass error of a local class cannot be sent back: the helper
+        ends quietly and the calling thread reruns the pass, raising the
+        serial path's error."""
+        class LocalError(Exception):
+            pass
+
+        def fails(theta, grad):
+            raise LocalError("local pass error")
+
+        space, (genome,) = attention_genomes_64px(1)
+        monkeypatch.setattr(metrics, "_logsynflow_term", fails)
+        errors = {}
+        for on in (False, True):
+            in_helper = helper_thread(on)
+            helpers = recorded_helpers(monkeypatch)
+            with pytest.raises(LocalError) as e:
+                score_genome(genome, space)
+            errors[on] = (type(e.value), str(e.value))
+        assert errors[True] == errors[False]
+        assert in_helper() == [True, False]
+        assert metrics._helper is None
+        assert helpers[0].process.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_helper_that_cannot_start_leaves_nothing_open(
+            self, tiny_config, helper_thread, monkeypatch):
+        """A helper whose start() raises, as in a daemonic process, closes
+        both ends of its pipe, and the candidate scores serially without a
+        ResourceWarning."""
+        genome = random_genome(tiny_config, 3)
+        helper_thread(False)
+        expected = score_genome(genome, tiny_config).to_json()
+        in_helper = helper_thread(True)
+        pipes = []
+        pipe = multiprocessing.connection.Pipe
+
+        def recording_pipe(*args, **kwargs):
+            pipes.append(pipe(*args, **kwargs))
+            return pipes[-1]
+
+        def no_children(process):
+            raise AssertionError(
+                "daemonic processes are not allowed to have children")
+
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", recording_pipe)
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process,
+                            "start", no_children)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert score_genome(genome, tiny_config).to_json() == expected
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+        assert len(pipes) == 1 and all(c.closed for c in pipes[0])
+        assert in_helper() == [False] and metrics._helper is None
 
     def test_daemon_process_scores_serially(self, tiny_config,
                                             helper_thread):

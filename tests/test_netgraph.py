@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from esnas import netgraph
 from esnas.archspace import AttnGene, FfnGene, SearchSpaceConfig, random_genome
@@ -260,6 +262,58 @@ class TestForward:
         graph = build_graph(g, tiny_config, seed=0)
         _, taps = forward(graph, np.ones(graph.input_shape))
         assert len(taps) == len(graph.activation_taps)
+
+
+@st.composite
+def conv_shapes(draw, path):
+    """(k, stride, groups, cin, cout, hw, bias) of a conv that takes the
+    given kernel path: banded "depthwise", or im2col "strided", "grouped" or
+    "dense"."""
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    hw, bias = draw(st.integers(1, 7)), draw(st.booleans())
+    if path == "depthwise":
+        c = draw(st.integers(1, 6))
+        return k, 1, c, c, c, hw, bias
+    stride = draw(st.integers(2, 3)) if path == "strided" else 1
+    groups = 1 if path == "dense" else draw(
+        st.integers(2 if path == "grouped" else 1, 3))
+    per_in, per_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    assume(stride > 1 or per_in * per_out > 1)  # else it is depthwise
+    return k, stride, groups, groups * per_in, groups * per_out, hw, bias
+
+
+class TestConvProperties:
+    @pytest.mark.parametrize("path", ["depthwise", "strided", "grouped",
+                                      "dense"])
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_matches_naive_oracle(self, path, data):
+        """Forward equals the naive loops on drawn shapes; the backward is
+        its adjoint: <conv(x, w), gout> = <x, gx> = <w, gw>, and the bias
+        gradient sums gout."""
+        k, stride, groups, cin, cout, hw, bias = data.draw(conv_shapes(path))
+        b = _Builder((cin, hw, hw))
+        g = Graph(b.nodes, b.input_shape, b.conv(
+            INPUT, cin, cout, k, stride=stride, groups=groups, bias=bias),
+            [], b.shapes)
+        node = g.nodes[0]
+        assert netgraph._is_depthwise(node, cin) == (path == "depthwise")
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        node.params = [r.normal(0, 0.5, p.shape) for p in node.params]
+        x = r.normal(0, 1, (cin, hw, hw))
+        out, _ = forward(g, x)
+        conv = naive_conv2d(x, node.params[0], None, stride, k // 2, groups)
+        ref = conv + node.params[1][:, None, None] if bias else conv
+        assert np.max(np.abs(out - ref)) < 1e-10
+        gout = r.normal(0, 1, out.shape)
+        (gx,), pgrads = netgraph._conv2d_backward(x, node, gout)
+        inner = float(np.sum(conv * gout))
+        for a, ga in ((x, gx), (node.params[0], pgrads[0])):
+            assert ga.shape == a.shape
+            assert abs(float(np.sum(a * ga)) - inner) <= 1e-10 * (1 + abs(inner))
+        if bias:
+            assert np.allclose(pgrads[1], gout.sum(axis=(1, 2)),
+                               rtol=1e-12, atol=0)
 
 
 class TestBuildGraph:
