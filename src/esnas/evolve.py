@@ -169,8 +169,20 @@ def tournament_select(pop, k, metric_name, seed):
     return max((pop.members[i] for i in idx), key=ranking(metric_name))
 
 
+def genome_key(genome):
+    """The memo's key: equal for two genomes (of str and int gene values)
+    exactly when their to_json() is, and cheaper to build."""
+    return genome.config_ref, tuple(
+        tuple((g.kind, *vars(g).values()) for g in stage) for stage in genome.stages)
+
+
 class SearchEngine:
-    """Holds the scorer cache, step counter, budget meters and history log."""
+    """One search's step counter, budget meters, history log and memo.
+
+    A report depends only on the genome, space, entropic config and
+    scoring_seed, not on the search seed, so ``memo`` (genome_key to
+    ``[params, report or None]``) may be shared between engines that agree
+    on those three.  A wall-clock total budget counts from construction."""
 
     def __init__(self, config, schedule, seed, entropic_cfg=None):
         self.config = config
@@ -179,29 +191,25 @@ class SearchEngine:
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.step = 0
         self.history = []
-        self._score_cache = {}
-        self._param_cache = {}
-        self.total_meter = None
+        self.memo = {}
+        self.total_meter = BudgetMeter(self.schedule.total_budget)
         self.evaluated = []  # every feasible scored individual, in order
 
     # -- scoring ---------------------------------------------------------
 
     def score(self, genome):
-        key = genome.to_json()
-        if key not in self._score_cache:
-            self._score_cache[key] = metrics.score_genome(
-                genome, self.config, self.entropic_cfg,
-                base_seed=self.schedule.scoring_seed)
-        return self._score_cache[key]
-
-    def params_of(self, genome):
-        key = genome.to_json()
-        if key not in self._param_cache:
-            self._param_cache[key] = archspace.count_params(genome, self.config)
-        return self._param_cache[key]
+        key = genome_key(genome)
+        if self.memo.get(key, (None, None))[1] is None:
+            report = metrics.score_genome(genome, self.config, self.entropic_cfg,
+                                          base_seed=self.schedule.scoring_seed)
+            self.memo[key] = [report.params, report]
+        return self.memo[key][1]
 
     def feasible(self, genome):
-        return self.params_of(genome) <= self.config.max_params
+        key = genome_key(genome)
+        if key not in self.memo:
+            self.memo[key] = [archspace.count_params(genome, self.config), None]
+        return self.memo[key][0] <= self.config.max_params
 
     def make_individual(self, genome):
         ind = Individual(genome=genome, report=self.score(genome),
@@ -325,7 +333,6 @@ class SearchEngine:
     def cyclic_search(self):
         """Multi-start seeding, then alternating topology/size phases."""
         sched = self.schedule
-        self.total_meter = BudgetMeter(sched.total_budget)
         seeds = self.multi_start()
         phase = PHASE_TOPOLOGY
         last_phase = phase
@@ -350,13 +357,6 @@ class SearchEngine:
                  best_entropic=best.report.entropic,
                  best_logsynflow=best.report.logsynflow)
         return best, self.history
-
-
-def multi_start(config, schedule, seed, entropic_cfg=None):
-    """Standalone multi-start; returns the per-population best individuals."""
-    engine = SearchEngine(config, schedule, seed, entropic_cfg)
-    engine.total_meter = BudgetMeter(schedule.total_budget)
-    return engine.multi_start()
 
 
 def cyclic_search(config, schedule, seed, entropic_cfg=None):

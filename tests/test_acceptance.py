@@ -16,7 +16,7 @@ import pytest
 from esnas import archspace, cli, metrics, netgraph
 from esnas.archspace import ArchGenome, FfnGene, SearchSpaceConfig, random_genome
 from esnas.bench import kendall_tau, spearman_rho
-from esnas.evolve import Budget, SearchSchedule, cyclic_search
+from esnas.evolve import Budget, SearchEngine, SearchSchedule, cyclic_search
 from esnas.metrics import EntropicConfig, entropic_score, layer_entropy, \
     logsynflow, normalize_activations
 from esnas.netgraph import INPUT, Graph, _Builder, forward, linear_graph, \
@@ -232,9 +232,14 @@ def test_toy_space_search_hits_top_percentile(toy_space):
     top_set = {j for _, j in truth[:top_n]}
     schedule = toy_schedule()
 
+    # a report does not depend on the search seed, so the 100 searches (same
+    # space, entropic config and scoring seed) share one memo
+    memo = {}
     wins = 0
     for seed in range(100):
-        best, history = cyclic_search(config, schedule, seed)
+        engine = SearchEngine(config, schedule, seed)
+        engine.memo = memo
+        best, history = engine.cyclic_search()
         final = next(e for e in history if e["event"] == "search_done")
         assert final["final_metric"] == "entropic"
         wins += best.genome.to_json() in top_set
@@ -247,7 +252,6 @@ def test_constraint_honoring_and_preset_cap(tiny_config, tmp_path, capsys):
     # Part 1: with a cap that excludes part of the space, nothing infeasible
     # is ever admitted during a full search run.
     from conftest import enumerate_space
-    from esnas.evolve import SearchEngine
 
     params = sorted(archspace.count_params(g, tiny_config)
                     for g in enumerate_space(tiny_config))

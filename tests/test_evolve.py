@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from esnas.evolve import (
     SearchEngine,
     SearchSchedule,
     cyclic_search,
-    multi_start,
+    genome_key,
     tournament_select,
 )
 
@@ -242,21 +243,21 @@ class TestEvolutionStep:
 
 class TestMultiStart:
     def test_returns_one_seed_per_population(self, tiny_config):
-        seeds = multi_start(tiny_config, eval_schedule(), seed=1)
+        seeds = SearchEngine(tiny_config, eval_schedule(), seed=1).multi_start()
         assert len(seeds) == 2
         for ind in seeds:
             assert archspace.validate(ind.genome, tiny_config) == []
 
     def test_deterministic(self, tiny_config):
-        a = multi_start(tiny_config, eval_schedule(), seed=5)
-        b = multi_start(tiny_config, eval_schedule(), seed=5)
+        def multi_start(seed):
+            return SearchEngine(tiny_config, eval_schedule(), seed).multi_start()
+
+        a, b, c = multi_start(5), multi_start(5), multi_start(6)
         assert [i.genome.to_json() for i in a] == [i.genome.to_json() for i in b]
-        c = multi_start(tiny_config, eval_schedule(), seed=6)
         assert [i.genome.to_json() for i in a] != [i.genome.to_json() for i in c]
 
     def test_seed_is_best_of_its_population(self, tiny_config):
         engine = SearchEngine(tiny_config, eval_schedule(), seed=2)
-        engine.total_meter = BudgetMeter(engine.schedule.total_budget)
         seeds = engine.multi_start()
         done = [e for e in engine.history if e["event"] == "multistart_done"]
         assert len(done) == len(seeds) == 2
@@ -312,3 +313,63 @@ class TestCyclicSearch:
         r1 = engine.score(g)
         r2 = engine.score(g)
         assert r1 is r2
+
+    def test_memo_counts_and_scores_each_genome_once(self, tiny_config,
+                                                     monkeypatch):
+        checked, counted, evaluated, scored = [], [], [], []
+        feasible, count_params = SearchEngine.feasible, archspace.count_params
+        score, score_genome = SearchEngine.score, metrics.score_genome
+
+        def recording(calls, original, at):
+            """original, recording the JSON of its genome argument args[at]"""
+            def call(*args, **kwargs):
+                calls.append(args[at].to_json())
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(SearchEngine, "feasible",
+                            recording(checked, feasible, 1))
+        monkeypatch.setattr(archspace, "count_params",
+                            recording(counted, count_params, 0))
+        monkeypatch.setattr(SearchEngine, "score", recording(evaluated, score, 1))
+        monkeypatch.setattr(metrics, "score_genome",
+                            recording(scored, score_genome, 0))
+        engine = SearchEngine(tiny_config, eval_schedule(), seed=8)
+        engine.cyclic_search()
+        assert sorted(counted) == sorted(set(checked))
+        assert sorted(scored) == sorted(set(evaluated))
+        # the memo was hit, both for counts and for reports
+        assert len(checked) > len(counted) and len(evaluated) > len(scored)
+        assert len(engine.memo) == len(counted)
+
+    def test_shared_memo_changes_no_search(self, tiny_config):
+        def search(seed, memo=None):
+            engine = SearchEngine(tiny_config, eval_schedule(), seed)
+            if memo is not None:
+                engine.memo = memo
+            best, history = engine.cyclic_search()
+            return (best.genome.to_json(), best.report.to_json(),
+                    json.dumps(history))
+
+        memo = {}
+        shared = [search(seed, memo) for seed in range(5)]
+        assert shared == [search(seed) for seed in range(5)]
+
+
+class TestGenomeKey:
+    def test_equal_exactly_when_the_json_is(self, tiny_config, attn_config):
+        genomes = (enumerate_space(tiny_config)
+                   + [archspace.random_genome(attn_config, s) for s in range(50)])
+        # equal copies that are distinct objects
+        genomes += [archspace.ArchGenome.from_json(g.to_json()) for g in genomes]
+        pairs = {(genome_key(g), g.to_json()) for g in genomes}
+        assert len(pairs) == len({k for k, _ in pairs}) == len({j for _, j in pairs})
+
+    def test_stage_boundaries_and_config_ref_are_part_of_it(self, attn_config):
+        genome = archspace.random_genome(attn_config, 0)
+        (a,), (b, c) = genome.stages
+        moved = replace(genome, stages=[[a, b], [c]])
+        other_ref = replace(genome, config_ref=genome.config_ref + "x")
+        for other in (moved, other_ref):
+            assert other.to_json() != genome.to_json()
+            assert genome_key(other) != genome_key(genome)

@@ -431,11 +431,11 @@ class TestOneProxy:
 
         space, (genome,) = attention_genomes_64px(1)
         in_helper = helper_thread(True)
-        monkeypatch.setattr(metrics, "_Helper", forbidden)
+        helpers = recorded_helpers(monkeypatch)
         monkeypatch.setattr(netgraph, "backward_param_grads", forbidden)
         rep = score_genome(genome, space, proxies=("entropic",))
         assert rep.logsynflow is None and rep.entropic > 0
-        assert in_helper() == []
+        assert helpers == [] and in_helper() == []
         assert metrics._helper is None
 
     def test_logsynflow_alone_runs_no_entropic_pass_and_no_helper(
@@ -445,11 +445,11 @@ class TestOneProxy:
 
         space, (genome,) = attention_genomes_64px(1)
         in_helper = helper_thread(True)
-        monkeypatch.setattr(metrics, "_Helper", forbidden)
+        helpers = recorded_helpers(monkeypatch)
         monkeypatch.setattr(metrics, "entropic_score", forbidden)
         rep = score_genome(genome, space, proxies=("logsynflow",))
         assert rep.entropic is None and rep.logsynflow > 0
-        assert in_helper() == [False]
+        assert helpers == [] and in_helper() == [False]
 
     def test_one_proxy_forks_no_helper(self, helper_thread, monkeypatch):
         """A helper that could start is not started for one proxy (a start
@@ -557,15 +557,13 @@ class TestHelperThread:
     def test_invalid_genome_raises_before_a_thread_starts(
             self, tiny_config, helper_thread, monkeypatch):
         """No helper is started and no request is sent."""
-        def no_helper(*args, **kwargs):
-            raise AssertionError("a helper was started")
-
         helper_thread(True)
-        monkeypatch.setattr(metrics, "_Helper", no_helper)
+        helpers = recorded_helpers(monkeypatch)
         bad = ArchGenome(stages=[[FfnGene("ibn", 16, 3, 2),
                                   FfnGene("ibn", 8, 3, 2)]])
         with pytest.raises(InvalidGenomeError):
             score_genome(bad, tiny_config)
+        assert helpers == []
 
     def test_caller_blas_thread_count_is_restored(self, helper_thread,
                                                   monkeypatch):
