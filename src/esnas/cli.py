@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -228,6 +227,9 @@ def cmd_correlate(args):
         raise CliError(
             f"benchmark rows lack precomputed 'score_{args.metric}' values; "
             f"--config is required to instantiate architectures")
+    manifest = ManifestWriter("correlate",
+                              {"bench": str(args.bench), "metric": args.metric},
+                              args.seed)
     try:
         report, pairs = bench.correlate_benchmark(
             entries, args.metric, config=space, base_seed=args.seed,
@@ -236,9 +238,6 @@ def cmd_correlate(args):
         raise CliError("correlation failed", [str(e)])
     out_path = Path(args.out or "report.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = ManifestWriter("correlate",
-                              {"bench": str(args.bench), "metric": args.metric},
-                              args.seed)
     atomic_write(out_path, canonical_json(report.to_dict()) + "\n")
     scatter_path = out_path.with_name("scatter.csv")
     atomic_write(scatter_path, "score,accuracy\n" + "".join(
@@ -279,7 +278,6 @@ def build_parser():
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("stats", help="print params and MACs for a genome")
-    common(p)
     p.add_argument("--arch", required=True, help="genome JSON file")
     p.add_argument("--config", required=True, help="search-space JSON file")
     p.set_defaults(func=cmd_stats)

@@ -119,12 +119,23 @@ class SearchSchedule:
     def validate(self):
         for b in (self.multistart_budget, self.phase_budget, self.total_budget):
             b.validate()
+        # bad counts crash the search, or skip every step, after scoring began
+        for key, least in (
+                ("multistart_populations", 1), ("multistart_population_size", 1),
+                ("multistart_tournament_size", 1), ("population_size", 1),
+                ("tournament_size", 1), ("mutations_per_step", 1),
+                ("seeds_per_phase", 1), ("infeasible_retries", 0)):
+            value = getattr(self, key)
+            if type(value) is not int or value < least:  # a bool is no count
+                raise ValueError(f"{key} must be an int of at least {least}, "
+                                 f"got {value!r}")
+        if type(self.crossover_in_multistart) is not bool:
+            raise ValueError(f"crossover_in_multistart must be true or false, "
+                             f"got {self.crossover_in_multistart!r}")
         if self.multistart_tournament_size > self.multistart_population_size:
             raise ValueError("multistart tournament size exceeds population size")
         if self.tournament_size > self.population_size:
             raise ValueError("tournament size exceeds population size")
-        if self.multistart_populations < 1:
-            raise ValueError("multistart_populations must be >= 1")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise ValueError("crossover_prob must be in [0, 1]")
         budgets = (self.multistart_budget, self.phase_budget, self.total_budget)

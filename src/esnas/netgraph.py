@@ -1,10 +1,11 @@
 """Executable computational graphs with a minimal dense-tensor engine.
 
 Graphs are flat topologically-ordered node lists over float64 numpy arrays
-(batch dimension fixed to 1; feature maps are (C, H, W)).  The engine
-supports forward evaluation with activation taps, a scoring-mode rewrite
-(normalisation suppressed, GELU -> ReLU, absolute weights), and reverse-mode
-gradients of the scalar sum of the output with respect to every parameter.
+(batch dimension fixed to 1; feature maps are (C, H, W)).  Genomes are laid
+out with norms, GELU and softmax, which the scoring-mode rewrite turns into
+identities, ReLU and a scale, with absolute weights.  The engine runs only
+the rewrite's kinds, evaluating the forward with activation taps, and
+reverse-mode gradients of the output sum with respect to every parameter.
 
 Convolution kernels, forward and backward: a stride-1 depthwise conv is k
 batched matmuls over channels, each multiplying the padded input rows by a
@@ -25,7 +26,7 @@ import contextlib
 import ctypes
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -34,7 +35,6 @@ from .archspace import (
     FFN_CONVNEXT,
     FFN_IBN,
     AttnGene,
-    FfnGene,
     InvalidGenomeError,
     validate,
 )
@@ -87,19 +87,6 @@ class Graph:
         for nid, node in enumerate(self.nodes):
             for pi, p in enumerate(node.params):
                 yield nid, pi, p
-
-    def dump(self):
-        """JSON-ready node listing for debugging and counting oracles."""
-        return [
-            {
-                "id": nid,
-                "kind": n.kind,
-                "input_ids": list(n.inputs),
-                "param_shapes": [list(p.shape) for p in n.params],
-                "out_shape": list(self.out_shapes[nid]),
-            }
-            for nid, n in enumerate(self.nodes)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +235,6 @@ def _conv2d_backward(x, node, gout):
 # ---------------------------------------------------------------------------
 # node forward / backward
 
-def _gelu(x):
-    from scipy.special import erf  # scoring graphs have no GELU
-
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
-def _gelu_grad(x):
-    from scipy.special import erf
-
-    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * phi
-
-
 def _matmul_operands(a, b, attrs):
     if attrs.get("transpose_a"):
         a = np.swapaxes(a, -1, -2)
@@ -273,33 +247,10 @@ def _node_forward(node, ins):
     kind = node.kind
     if kind == "conv2d":
         return _conv2d_forward(ins[0], node)
-    if kind == "linear":
-        w = node.params[0]
-        out = ins[0] @ w.T
-        if node.attrs["bias"]:
-            out = out + node.params[1]
-        return out
     if kind == "relu":
         return np.maximum(ins[0], 0.0)
-    if kind == "gelu":
-        return _gelu(ins[0])
     if kind == "identity":
         return ins[0]
-    if kind == "batchnorm":
-        gamma, beta = node.params
-        return gamma[:, None, None] * ins[0] + beta[:, None, None]
-    if kind == "layernorm":
-        x = ins[0]
-        gamma, beta = node.params
-        mu = x.mean(axis=0, keepdims=True)
-        var = x.var(axis=0, keepdims=True)
-        xhat = (x - mu) / np.sqrt(var + node.attrs["eps"])
-        return gamma[:, None, None] * xhat + beta[:, None, None]
-    if kind == "softmax":
-        x = ins[0]
-        ax = node.attrs["axis"]
-        e = np.exp(x - x.max(axis=ax, keepdims=True))
-        return e / e.sum(axis=ax, keepdims=True)
     if kind == "matmul":
         a, b = _matmul_operands(ins[0], ins[1], node.attrs)
         return a @ b
@@ -314,63 +265,21 @@ def _node_forward(node, ins):
         c_from, c_to = node.attrs["from"], node.attrs["to"]
         pad = [(0, c_to - c_from)] + [(0, 0)] * (ins[0].ndim - 1)
         return _zero_pad(ins[0], pad)
-    if kind == "avgpool":
-        k, stride = node.attrs["k"], node.attrs["stride"]
-        win, _, _ = _im2col(ins[0], k, stride, 0)
-        return win.mean(axis=(3, 4))
     if kind == "reshape":
         return ins[0].reshape(node.attrs["shape"])
-    raise ValueError(f"unknown node kind {kind!r}")
+    raise ValueError(f"no kernel for node kind {kind!r}: genome graphs run "
+                     f"after prepare_for_scoring")
 
 
-def _node_backward(node, ins, out, gout):
+def _node_backward(node, ins, gout):
     """Return ([grad wrt each input], [grad wrt each param])."""
     kind = node.kind
     if kind == "conv2d":
         return _conv2d_backward(ins[0], node, gout)
-    if kind == "linear":
-        w = node.params[0]
-        x = ins[0]
-        gx = gout @ w
-        gw = np.tensordot(gout.reshape(-1, gout.shape[-1]).T,
-                          x.reshape(-1, x.shape[-1]), axes=1)
-        pg = [gw]
-        if node.attrs["bias"]:
-            pg.append(gout.reshape(-1, gout.shape[-1]).sum(axis=0))
-        return [gx], pg
     if kind == "relu":
         return [gout * (ins[0] > 0)], []
-    if kind == "gelu":
-        return [gout * _gelu_grad(ins[0])], []
     if kind == "identity":
         return [gout], []
-    if kind == "batchnorm":
-        gamma, _ = node.params
-        x = ins[0]
-        gx = gout * gamma[:, None, None]
-        ggamma = (gout * x).sum(axis=(1, 2))
-        gbeta = gout.sum(axis=(1, 2))
-        return [gx], [ggamma, gbeta]
-    if kind == "layernorm":
-        x = ins[0]
-        gamma, _ = node.params
-        eps = node.attrs["eps"]
-        mu = x.mean(axis=0, keepdims=True)
-        var = x.var(axis=0, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv
-        gxhat = gout * gamma[:, None, None]
-        d = x.shape[0]
-        gx = inv * (gxhat - gxhat.mean(axis=0, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=0, keepdims=True))
-        ggamma = (gout * xhat).sum(axis=(1, 2))
-        gbeta = gout.sum(axis=(1, 2))
-        return [gx], [ggamma, gbeta]
-    if kind == "softmax":
-        ax = node.attrs["axis"]
-        s = out
-        gx = s * (gout - (gout * s).sum(axis=ax, keepdims=True))
-        return [gx], []
     if kind == "matmul":
         a, b = _matmul_operands(ins[0], ins[1], node.attrs)
         ga = gout @ np.swapaxes(b, -1, -2)
@@ -386,15 +295,10 @@ def _node_backward(node, ins, out, gout):
         return [gout, gout], []
     if kind == "zeropad":
         return [gout[:node.attrs["from"]]], []
-    if kind == "avgpool":
-        k, stride = node.attrs["k"], node.attrs["stride"]
-        c, h, w = ins[0].shape
-        gcols = np.broadcast_to(
-            (gout / (k * k))[:, None, None], (c, k, k) + gout.shape[1:])
-        return [_col2im(np.ascontiguousarray(gcols), c, h, w, k, stride, 0)], []
     if kind == "reshape":
         return [gout.reshape(ins[0].shape)], []
-    raise ValueError(f"unknown node kind {kind!r}")
+    raise ValueError(f"no kernel for node kind {kind!r}: genome graphs run "
+                     f"after prepare_for_scoring")
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +382,7 @@ def backward_param_grads(graph, reduce=None):
             pg = [np.zeros_like(p) for p in node.params]
         else:
             ins = [x if i == INPUT else vals[i] for i in node.inputs]
-            igrads, pg = _node_backward(node, ins, vals[nid], g)
+            igrads, pg = _node_backward(node, ins, g)
             for src, ig in zip(node.inputs, igrads):
                 if src == INPUT:
                     continue
@@ -504,9 +408,9 @@ def prepare_for_scoring(graph):
 
     The rewrite commutes with ``reinit``: ``reinit(prepare_for_scoring(g), s)``
     equals ``prepare_for_scoring(reinit(g, s))`` array for array, because
-    normalisation nodes draw nothing and conv and linear nodes draw in the
-    same order.  So a candidate is rewritten once and re-initialised for
-    every proxy pass.
+    normalisation nodes draw nothing and conv nodes draw in the same order.
+    So a candidate is rewritten once and re-initialised for every proxy
+    pass.
     """
     if graph.scoring_mode:
         return graph
@@ -551,20 +455,20 @@ def _uniform(rng, bound, shape):
 def reinit(graph, seed):
     """Redraw all weights from U(-1/fan_in, +1/fan_in); returns a copy.
 
-    Conv and linear nodes draw in node order; normalisation nodes are reset
-    to unit scale and zero shift and draw nothing.  A scoring-mode graph gets
-    the absolute values of its draws.
+    Conv nodes draw in node order, and nothing else draws: normalisation
+    parameters are read by no kernel, so they keep the structure's unit
+    views.  A scoring-mode graph gets the absolute values of its draws.
 
     The reciprocal (rather than root-reciprocal) fan-in scaling keeps the
     absolute-weight scoring forward pass depth-stable: the expected gain of a
-    prepared conv/linear node is 1/2, so residual blocks hover near unit
+    prepared conv node is 1/2, so residual blocks hover near unit
     magnitude and the activation-squaring attention products cannot overflow
     float64 at any supported depth.
     """
     rng = np.random.default_rng(seed)
     g = graph.copy()
     for node in g.nodes:
-        if node.kind in ("conv2d", "linear"):
+        if node.kind == "conv2d":
             bound = 1.0 / node.attrs["fan_in"]
             node.params[0] = _uniform(rng, bound, node.params[0].shape)
             if node.attrs["bias"]:
@@ -572,9 +476,6 @@ def reinit(graph, seed):
             if g.scoring_mode:
                 for p in node.params:
                     np.abs(p, out=p)
-        elif node.kind == "batchnorm" or node.kind == "layernorm":
-            node.params[0] = np.ones_like(node.params[0])
-            node.params[1] = np.zeros_like(node.params[1])
     return g
 
 
@@ -805,11 +706,6 @@ def count_graph_macs(graph):
             a = node.attrs
             total += (a["kernel"] ** 2 * (a["in_ch"] // a["groups"])
                       * a["out_ch"] * shape[1] * shape[2])
-        elif node.kind == "linear":
-            positions = 1
-            for d in shape[:-1]:
-                positions *= d
-            total += node.attrs["in"] * node.attrs["out"] * positions
         elif node.kind == "matmul":
             a_shape = graph.out_shapes[node.inputs[0]] \
                 if node.inputs[0] != INPUT else graph.input_shape
@@ -819,19 +715,3 @@ def count_graph_macs(graph):
                 batch *= d
             total += batch * shape[-2] * shape[-1] * inner
     return int(total)
-
-
-# ---------------------------------------------------------------------------
-# hand-built node helpers (used by metrics tests and the CLI fixtures)
-
-def linear_graph(weights, bias=None):
-    """Single-linear-layer graph over a 1-D input; weights is (out, in)."""
-    w = np.asarray(weights, dtype=float)
-    params = [w]
-    attrs = {"in": w.shape[1], "out": w.shape[0], "bias": bias is not None,
-             "fan_in": w.shape[1]}
-    if bias is not None:
-        params.append(np.asarray(bias, dtype=float))
-    node = OpNode("linear", [INPUT], params, attrs)
-    return Graph(nodes=[node], input_shape=(w.shape[1],), output_id=0,
-                 activation_taps=[], out_shapes=[(w.shape[0],)])

@@ -2,9 +2,22 @@ import itertools
 import math
 import os
 
+import numpy as np
 import pytest
 
-from esnas import archspace, metrics
+from esnas import archspace, metrics, netgraph
+
+
+def conv1x1_graph(weights, bias=None):
+    """A linear layer as the engine runs it: one 1x1 conv over an
+    ``(in, 1, 1)`` input, with ``weights`` (out, in) and an optional bias."""
+    w = np.array(weights, dtype=float)
+    b = netgraph._Builder((w.shape[1], 1, 1))
+    nid = b.conv(netgraph.INPUT, w.shape[1], w.shape[0], 1,
+                 bias=bias is not None)
+    b.nodes[nid].params = [w.reshape(w.shape + (1, 1))] + (
+        [] if bias is None else [np.array(bias, dtype=float)])
+    return netgraph.Graph(b.nodes, b.input_shape, nid, [], b.shapes)
 
 
 @pytest.fixture

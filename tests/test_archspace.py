@@ -26,6 +26,8 @@ from esnas.archspace import (
     validate,
 )
 
+from conftest import conv1x1_graph
+
 
 def count_macs(genome, config):
     return netgraph.count_graph_macs(netgraph.build_structure(genome, config))
@@ -321,7 +323,7 @@ class TestRepair:
 
 class TestCounting:
     def test_standalone_linear(self):
-        g = netgraph.linear_graph(np.zeros((3, 4)), bias=np.zeros(3))
+        g = conv1x1_graph(np.zeros((3, 4)), bias=np.zeros(3))
         assert netgraph.count_graph_params(g) == 15
 
     def test_ibn_block_conv_params(self):
@@ -348,8 +350,8 @@ class TestCounting:
         for s in range(10):
             g = random_genome(attn_config, s)
             graph = netgraph.build_graph(g, attn_config, seed=s)
-            enumerated = sum(np.prod(shape) for entry in graph.dump()
-                             for shape in entry["param_shapes"])
+            enumerated = sum(np.prod(p.shape) for node in graph.nodes
+                             for p in node.params)
             assert archspace.count_params(g, attn_config) == enumerated
 
     def test_count_params_draws_nothing(self, attn_config, monkeypatch):
@@ -384,8 +386,7 @@ class TestCounting:
             g = random_genome(attn_config, s)
             graph = netgraph.build_graph(g, attn_config, seed=0)
             total = 0
-            for entry, node in zip(graph.dump(), graph.nodes):
-                shape = entry["out_shape"]
+            for node, shape in zip(graph.nodes, graph.out_shapes):
                 if node.kind == "conv2d":
                     a = node.attrs
                     total += (a["kernel"] ** 2 * a["in_ch"] // a["groups"]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,35 @@ class TestSearch:
         assert json.loads(err)["error"]["details"] == [f"space: {problem}"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds_per_phase", 0), ("seeds_per_phase", 2.5),
+        ("tournament_size", 0), ("population_size", 0),
+        ("population_size", True), ("multistart_population_size", 0),
+        ("multistart_tournament_size", 0), ("mutations_per_step", -1),
+        ("mutations_per_step", 0), ("infeasible_retries", -1),
+        ("crossover_in_multistart", 1), ("crossover_in_multistart", "no"),
+    ])
+    def test_bad_schedule_value_exits_2_naming_it_before_scoring(
+            self, tmp_path, search_config_file, key, value, monkeypatch,
+            capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was counted or scored")
+
+        monkeypatch.setattr(archspace, "count_params", never)
+        monkeypatch.setattr(metrics, "score_genome", never)
+        cfg = json.loads(search_config_file.read_text())
+        cfg["schedule"][key] = value
+        search_config_file.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        code, out, err = run(["search", "--config", str(search_config_file),
+                              "--budget-mode", "evals",
+                              "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        [detail] = json.loads(err)["error"]["details"]
+        assert detail.startswith(f"schedule: {key} must be ")
+        assert detail.endswith(f"got {value!r}")
+        assert not out_dir.exists()
+
 
 class TestCorrelate:
     def test_precomputed_csv(self, tmp_path, capsys):
@@ -436,6 +466,32 @@ class TestCorrelate:
                                 ("report.json", "scatter.csv")])
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_manifest_starts_before_scoring(self, tmp_path, tiny_config,
+                                            space_file, monkeypatch, capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("arch_json,accuracy\n" + "".join(
+            '"{}",{}\n'.format(
+                random_genome(tiny_config, s).to_json().replace('"', '""'),
+                50.0 + s) for s in range(3)))
+        calls = []
+        correlate = bench.correlate_benchmark
+
+        def recording(*args, **kwargs):
+            calls.append(datetime.now(timezone.utc))
+            return correlate(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "correlate_benchmark", recording)
+        out_path = tmp_path / "report.json"
+        code, _, err = run(["correlate", "--bench", str(csv_path),
+                            "--metric", "entropic", "--config",
+                            str(space_file), "--out", str(out_path)], capsys)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        [called] = calls
+        started = datetime.fromisoformat(manifest["started_at"])
+        ended = datetime.fromisoformat(manifest["ended_at"])
+        assert started <= called < ended
+
     def test_skipped_rows_keep_csv_row_numbers(self, tmp_path, space_file,
                                                capsys, caplog):
         # data rows 3 and 8 fail to parse; --sample 6 keeps them at
@@ -521,21 +577,28 @@ class TestCorrelate:
         assert json.loads(out)["n"] == 8
 
 
+# each argv ends in an option that its subcommand does not take; every
+# path is missing, so a subcommand that took the option would exit at once
 @pytest.mark.parametrize("argv", [
-    ["score", "--arch", "g.json", "--config", "s.json"],
-    ["stats", "--arch", "g.json", "--config", "s.json"],
-    ["search", "--config", "missing.json"],  # would exit at once if accepted
+    ["score", "--arch", "g.json", "--config", "s.json", "--workers", "2"],
+    ["stats", "--arch", "g.json", "--config", "s.json", "--workers", "2"],
+    ["search", "--config", "missing.json", "--workers", "2"],
+    ["stats", "--arch", "g.json", "--config", "s.json", "--seed", "1"],
+    ["stats", "--arch", "g.json", "--config", "s.json", "--out", "o.json"],
 ])
 def test_workers_only_on_correlate(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--workers", "2"])
+        cli.main(argv)
     assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert (f"unrecognized arguments: {' '.join(argv[-2:])}"
+            in capsys.readouterr().err)
 
 
-def test_import_loads_neither_scipy_stats_nor_scipy_special():
+def test_import_loads_neither_scipy_stats_nor_scipy_special(
+        space_file, genome_file, search_config_file, tmp_path):
     """Importing the command line leaves scipy.stats and scipy.special, about
-    1.3 s of start-up together, unloaded."""
+    1.3 s of start-up together, unloaded; and score, stats and an evals-mode
+    search run where scipy cannot be imported at all."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -545,3 +608,12 @@ def test_import_loads_neither_scipy_stats_nor_scipy_special():
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+    genome = ["--arch", str(genome_file), "--config", str(space_file)]
+    for argv in (["score"] + genome, ["stats"] + genome,
+                 ["search", "--config", str(search_config_file),
+                  "--budget-mode", "evals", "--out", str(tmp_path / "run")]):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.modules['scipy'] = None; "
+             "from esnas import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv[0], done.stderr)

@@ -32,7 +32,9 @@ from esnas.metrics import (
     normalize_activations,
     score_genome,
 )
-from esnas.netgraph import INPUT, Graph, _Builder, forward, linear_graph
+from esnas.netgraph import INPUT, Graph, _Builder, forward
+
+from conftest import conv1x1_graph
 
 rng = np.random.default_rng(777)
 
@@ -217,35 +219,33 @@ class TestEntropicScore:
 
 class TestLogSynflow:
     def test_single_linear_analytic(self):
-        g = linear_graph(np.array([[3.0, -4.0]]))
+        g = conv1x1_graph(np.array([[3.0, -4.0]]))
         assert abs(logsynflow(g) - 7.0 * math.log(2.0)) < 1e-12
 
     def test_zero_weights_scores_zero(self):
-        g = linear_graph(np.zeros((3, 5)))
+        g = conv1x1_graph(np.zeros((3, 5)))
         assert logsynflow(g) == 0.0
 
     def test_monotone_in_weight_magnitude(self):
-        lo = logsynflow(linear_graph(np.array([[3.0, 4.0]])))
-        hi = logsynflow(linear_graph(np.array([[5.0, 4.0]])))
+        lo = logsynflow(conv1x1_graph(np.array([[3.0, 4.0]])))
+        hi = logsynflow(conv1x1_graph(np.array([[5.0, 4.0]])))
         assert hi > lo
 
     def test_two_layer_mlp_matches_finite_differences(self):
         r = np.random.default_rng(4)
-        b = _Builder((3,))
-        w1 = b.emit("linear", [INPUT],
-                    [r.normal(0, 1, (5, 3)), r.normal(0, 1, 5)], (5,),
-                    **{"in": 3, "out": 5, "bias": True, "fan_in": 3})
-        a1 = b.unary("relu", w1)
-        out = b.emit("linear", [a1],
-                     [r.normal(0, 1, (2, 5)), r.normal(0, 1, 2)], (2,),
-                     **{"in": 5, "out": 2, "bias": True, "fan_in": 5})
+        b = _Builder((3, 1, 1))
+        a1 = b.unary("relu", b.conv(INPUT, 3, 5, 1))
+        out = b.conv(a1, 5, 2, 1)
         g = Graph(b.nodes, b.input_shape, out, [a1], b.shapes)
+        g.nodes[0].params = [r.normal(0, 1, (5, 3, 1, 1)), r.normal(0, 1, 5)]
+        g.nodes[out].params = [r.normal(0, 1, (2, 5, 1, 1)),
+                               r.normal(0, 1, 2)]
         score = logsynflow(g)
 
         prepared = netgraph.prepare_for_scoring(g)
         h = 1e-6
         ref = 0.0
-        x = np.ones(3)
+        x = np.ones(prepared.input_shape)
         for _, _, p in prepared.iter_params():
             flat = p.reshape(-1)
             for i in range(flat.size):
@@ -280,7 +280,7 @@ class TestLogSynflow:
 
     def test_overflowing_output_raises(self):
         # the weight gradients are finite; only the output sum overflows
-        g = linear_graph(np.full((1, 2), 1e308))
+        g = conv1x1_graph(np.full((1, 2), 1e308))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
                                                        match="output"):
             logsynflow(g)

@@ -18,10 +18,11 @@ from esnas.netgraph import (
     build_structure,
     count_graph_params,
     forward,
-    linear_graph,
     prepare_for_scoring,
     reinit,
 )
+
+from conftest import conv1x1_graph
 
 rng = np.random.default_rng(12345)
 
@@ -85,7 +86,8 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7):
 
 
 # ---------------------------------------------------------------------------
-# randomized graph templates covering every node kind
+# randomized graph templates whose rewrites cover every node kind the
+# engine runs
 
 def rand_params(node, seed, scale=0.5):
     r = np.random.default_rng(seed)
@@ -149,36 +151,45 @@ def template_pool(seed):
     b = _Builder((c, 4, 4))
     x = b.conv(INPUT, c, c + 2, 3, stride=2)
     x = b.unary("relu", x)
-    x = b.emit("avgpool", [x], None, (c + 2, 1, 1), k=2, stride=2)
+    x = b.conv(x, c + 2, c + 2, 3, stride=2, groups=c + 2, bias=False)
     return b, x
 
 
 def template_mlp(seed):
     r = np.random.default_rng(seed)
     n_in, n_hid, n_out = (int(r.integers(2, 5)) for _ in range(3))
-    b = _Builder((n_in,))
-    w1 = b.emit("linear", [INPUT], [np.zeros((n_hid, n_in)), np.zeros(n_hid)],
-                (n_hid,), **{"in": n_in, "out": n_hid, "bias": True, "fan_in": n_in})
-    a1 = b.unary("relu", w1)
-    out = b.emit("linear", [a1], [np.zeros((n_out, n_hid)), np.zeros(n_out)],
-                 (n_out,), **{"in": n_hid, "out": n_out, "bias": True,
-                              "fan_in": n_hid})
-    return b, out
+    b = _Builder((n_in, 1, 1))
+    a1 = b.unary("relu", b.conv(INPUT, n_in, n_hid, 1))
+    return b, b.conv(a1, n_hid, n_out, 1)
 
 
 TEMPLATES = [template_ibn, template_convnext, template_attention,
              template_pool, template_mlp]
 
 
-def make_graph(template, seed):
-    b, out = template(seed)
-    g = Graph(nodes=b.nodes, input_shape=b.input_shape, output_id=out,
-              activation_taps=[i for i, n in enumerate(b.nodes)
-                               if n.kind in ("relu", "gelu")],
-              out_shapes=b.shapes)
+def with_random_params(g, seed):
     for i, node in enumerate(g.nodes):
         rand_params(node, seed * 1000 + i)
     return g
+
+
+def laid_out_graph(template, seed):
+    """The template's graph as laid out, before the scoring rewrite, with
+    signed random parameters."""
+    b, out = template(seed)
+    g = Graph(nodes=b.nodes, input_shape=b.input_shape, output_id=out,
+              activation_taps=[i for i, n in enumerate(b.nodes)
+                               if n.kind in netgraph.ACTIVATION_KINDS],
+              out_shapes=b.shapes)
+    return with_random_params(g, seed)
+
+
+def make_graph(template, seed):
+    """The template's graph as the engine runs it: rewritten by
+    prepare_for_scoring, then given signed random parameters again, so that
+    inputs cross the ReLU kinks."""
+    return with_random_params(
+        prepare_for_scoring(laid_out_graph(template, seed)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +219,6 @@ def conv_case_id(case):
 
 
 class TestForward:
-    def test_linear_identity(self):
-        g = linear_graph(np.eye(2), bias=np.zeros(2))
-        out, _ = forward(g, np.array([3.0, -1.0]))
-        assert np.allclose(out, [3.0, -1.0])
-
-    def test_linear_zero_weights_returns_bias(self):
-        b = np.array([0.7, -2.0, 1.5])
-        g = linear_graph(np.zeros((3, 2)), bias=b)
-        out, _ = forward(g, np.array([9.0, -4.0]))
-        assert np.allclose(out, b)
-
     @pytest.mark.parametrize("k,stride,groups,cin,cout,hw,bias", CONV_CASES,
                              ids=[conv_case_id(c) for c in CONV_CASES])
     def test_conv_matches_naive_oracle(self, k, stride, groups, cin, cout, hw,
@@ -253,15 +253,28 @@ class TestForward:
         assert np.max(np.abs(out - ref)) < 1e-10
 
     def test_shape_mismatch_reports_node(self):
-        g = linear_graph(np.eye(2))
+        g = conv1x1_graph(np.eye(2))
         with pytest.raises(GraphShapeError, match="input shape"):
             forward(g, np.zeros(3))
 
     def test_taps_returned_in_network_order(self, tiny_config):
         g = random_genome(tiny_config, 3)
-        graph = build_graph(g, tiny_config, seed=0)
+        graph = prepare_for_scoring(build_graph(g, tiny_config, seed=0))
         _, taps = forward(graph, np.ones(graph.input_shape))
         assert len(taps) == len(graph.activation_taps)
+
+    def test_graph_before_the_rewrite_raises_naming_the_kind(self,
+                                                             tiny_config):
+        from esnas.archspace import ArchGenome
+        genome = ArchGenome(stages=[[FfnGene("ibn", 8, 3, 2),
+                                     FfnGene("ibn", 8, 3, 2)]],
+                            config_ref=tiny_config.ref())
+        graph = build_graph(genome, tiny_config, seed=0)
+        message = "'batchnorm'.*after prepare_for_scoring"
+        with pytest.raises(ValueError, match=message):
+            forward(graph, np.ones(graph.input_shape))
+        with pytest.raises(ValueError, match=message):
+            backward_param_grads(graph)
 
 
 @st.composite
@@ -366,14 +379,14 @@ class TestBuildGraph:
 
 class TestPrepare:
     def test_gelu_replaced_by_relu(self):
-        g = make_graph(template_convnext, 3)
+        g = laid_out_graph(template_convnext, 3)
         p = prepare_for_scoring(g)
         assert not any(n.kind == "gelu" for n in p.nodes)
         gelu_pos = [i for i, n in enumerate(g.nodes) if n.kind == "gelu"]
         assert all(p.nodes[i].kind == "relu" for i in gelu_pos)
 
     def test_norms_suppressed_and_weights_abs(self):
-        g = make_graph(template_ibn, 4)
+        g = laid_out_graph(template_ibn, 4)
         g.nodes[0].params[0][0, 0, 0, 0] = -3.5
         p = prepare_for_scoring(g)
         assert not any(n.kind in ("batchnorm", "layernorm") for n in p.nodes)
@@ -384,7 +397,7 @@ class TestPrepare:
 
     def test_idempotent(self):
         for t in TEMPLATES:
-            g = make_graph(t, 9)
+            g = laid_out_graph(t, 9)
             p1 = prepare_for_scoring(g)
             p2 = prepare_for_scoring(p1)
             assert [n.kind for n in p1.nodes] == [n.kind for n in p2.nodes]
@@ -393,11 +406,11 @@ class TestPrepare:
 
     def test_scoring_mode_graph_is_returned_as_is(self):
         for t in TEMPLATES:
-            p = prepare_for_scoring(make_graph(t, 5))
+            p = prepare_for_scoring(laid_out_graph(t, 5))
             assert prepare_for_scoring(p) is p
 
     def test_softmax_becomes_row_preserving_scale(self):
-        g = make_graph(template_attention, 2)
+        g = laid_out_graph(template_attention, 2)
         p = prepare_for_scoring(g)
         assert not any(n.kind == "softmax" for n in p.nodes)
         idx = [i for i, n in enumerate(g.nodes) if n.kind == "softmax"][0]
@@ -417,7 +430,7 @@ class TestPrepare:
 class TestHomogeneity:
     """Scaling one node's weights by c > 0 scales every tap downstream of it
     by exactly c, provided every path from that node to a tap stays inside
-    conv/linear/relu/add/avgpool territory and the node feeds all branches."""
+    bias-free conv/relu/add territory and the node feeds all branches."""
 
     def chain_graph(self, seed):
         r = np.random.default_rng(seed)
@@ -427,7 +440,7 @@ class TestHomogeneity:
         x = b.unary("relu", x)
         x = b.conv(x, c, 2 * c, 1, bias=False)
         x = b.unary("relu", x)
-        x = b.emit("avgpool", [x], None, (2 * c, 2, 2), k=2, stride=2)
+        x = b.conv(x, 2 * c, 2 * c, 3, stride=2, groups=2 * c, bias=False)
         g = Graph(b.nodes, b.input_shape, x,
                   [i for i, n in enumerate(b.nodes) if n.kind == "relu"],
                   b.shapes)
@@ -486,25 +499,25 @@ class TestHomogeneity:
 
 class TestBackward:
     def test_single_linear_analytic(self):
-        g = prepare_for_scoring(linear_graph(np.array([[3.0, 4.0]])))
-        out, _ = forward(g, np.ones(2))
-        assert out[0] == 7.0
+        g = prepare_for_scoring(conv1x1_graph(np.array([[3.0, 4.0]])))
+        out, _ = forward(g, np.ones(g.input_shape))
+        assert out.shape == (1, 1, 1) and out[0, 0, 0] == 7.0
         _, grads = backward_param_grads(g)
-        assert np.allclose(grads[0], [[1.0, 1.0]])
+        assert np.array_equal(grads[0], np.ones((1, 2, 1, 1)))
 
     def test_dead_relu_path_zero_grad(self):
         # second layer weight zero -> first layer output clipped... use a
         # negative-weight path killed by the relu instead
-        b = _Builder((2,))
-        w1 = b.emit("linear", [INPUT], [np.array([[-1.0, -2.0]])], (1,),
-                    **{"in": 2, "out": 1, "bias": False, "fan_in": 2})
-        a1 = b.unary("relu", w1)
-        w2 = b.emit("linear", [a1], [np.array([[5.0]])], (1,),
-                    **{"in": 1, "out": 1, "bias": False, "fan_in": 1})
+        b = _Builder((2, 1, 1))
+        a1 = b.unary("relu", b.conv(INPUT, 2, 1, 1, bias=False))
+        w2 = b.conv(a1, 1, 1, 1, bias=False)
         g = Graph(b.nodes, b.input_shape, w2, [a1], b.shapes)
+        g.nodes[0].params = [np.array([[-1.0, -2.0]]).reshape(1, 2, 1, 1)]
+        g.nodes[w2].params = [np.array([[5.0]]).reshape(1, 1, 1, 1)]
         _, grads = backward_param_grads(g)
-        assert np.array_equal(grads[0], [[0.0, 0.0]])  # upstream of dead relu
-        assert np.array_equal(grads[1], [[0.0]])       # relu output is zero
+        # upstream of the dead relu, and the relu output is zero
+        assert np.array_equal(grads[0], np.zeros((1, 2, 1, 1)))
+        assert np.array_equal(grads[1], np.zeros((1, 1, 1, 1)))
 
     @pytest.mark.parametrize("template", TEMPLATES)
     def test_gradients_match_finite_differences(self, template):
@@ -544,7 +557,7 @@ class TestReinit:
             assert np.array_equal(a, b)
         for nid, _, p in g1.iter_params():
             node = g1.nodes[nid]
-            if node.kind in ("conv2d", "linear"):
+            if node.kind == "conv2d":
                 assert np.max(np.abs(p)) <= 1.0 / node.attrs["fan_in"]
 
     def test_different_seed_differs(self, tiny_config):
@@ -617,28 +630,35 @@ class TestWeightFreeStructure:
                 assert not p.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     p[(0,) * p.ndim] = 1.0
+        # drawn weights are fresh arrays; no kernel reads the norms
+        drawn = reinit(structure, 0)
         assert all(p.flags.writeable and p.flags.c_contiguous
-                   for _, _, p in reinit(structure, 0).iter_params())
+                   for nid, _, p in drawn.iter_params()
+                   if drawn.nodes[nid].kind == "conv2d")
 
     def test_reads_as_filled_arrays_do(self, attn_config):
-        """Counts, the dump, and forward and backward passes on the
-        structure and on its rewrite equal those of filled arrays."""
+        """Counts, the layout, and forward and backward passes of the
+        structure's rewrite equal those of filled arrays."""
+        def layout(graph):
+            return graph.out_shapes, [
+                (n.kind, n.inputs, n.attrs, [p.shape for p in n.params])
+                for n in graph.nodes]
+
         for seed in range(3):
             structure = build_structure(random_genome(attn_config, seed),
                                         attn_config)
             full = filled(structure)
-            assert structure.dump() == full.dump()
+            assert layout(structure) == layout(full)
             assert count_graph_params(structure) == count_graph_params(full)
             x = rng.uniform(-1, 1, structure.input_shape)
-            for a, b in ((structure, full), (prepare_for_scoring(structure),
-                                             prepare_for_scoring(full))):
-                (out_a, taps_a), (out_b, taps_b) = forward(a, x), forward(b, x)
-                assert np.array_equal(out_a, out_b)
-                assert all(map(np.array_equal, taps_a, taps_b))
-                (out_a, ga), (out_b, gb) = (backward_param_grads(a),
-                                            backward_param_grads(b))
-                assert np.array_equal(out_a, out_b)
-                assert all(map(np.array_equal, ga, gb))
+            a, b = prepare_for_scoring(structure), prepare_for_scoring(full)
+            (out_a, taps_a), (out_b, taps_b) = forward(a, x), forward(b, x)
+            assert np.array_equal(out_a, out_b)
+            assert all(map(np.array_equal, taps_a, taps_b))
+            (out_a, ga), (out_b, gb) = (backward_param_grads(a),
+                                        backward_param_grads(b))
+            assert np.array_equal(out_a, out_b)
+            assert all(map(np.array_equal, ga, gb))
 
     def test_layout_and_rewrite_allocate_no_parameter_array(self):
         space = SearchSpaceConfig(input_resolution=224).validate()
@@ -660,19 +680,10 @@ class TestWeightFreeStructure:
                    for _, _, p in prepared.iter_params())
 
     def test_rewrite_of_a_negative_constant_is_a_view_of_its_magnitude(self):
-        g = linear_graph(np.ones((2, 3)))
-        g.nodes[0].params = [np.broadcast_to(-2.5, (2, 3))]
+        g = conv1x1_graph(np.ones((2, 3)))
+        g.nodes[0].params = [np.broadcast_to(-2.5, (2, 3, 1, 1))]
         q = prepare_for_scoring(g).nodes[0].params[0]
-        assert q.strides == (0, 0) and np.array_equal(q, np.full((2, 3), 2.5))
-        assert g.nodes[0].params[0][0, 0] == -2.5
+        assert q.strides == (0,) * 4
+        assert np.array_equal(q, np.full((2, 3, 1, 1), 2.5))
+        assert g.nodes[0].params[0][0, 0, 0, 0] == -2.5
 
-
-class TestDump:
-    def test_dump_schema(self, tiny_config):
-        genome = random_genome(tiny_config, 0)
-        graph = build_graph(genome, tiny_config, seed=0)
-        d = graph.dump()
-        assert len(d) == len(graph.nodes)
-        for entry in d:
-            assert set(entry) == {"id", "kind", "input_ids", "param_shapes",
-                                  "out_shape"}
