@@ -134,29 +134,21 @@ SEARCH_SECTIONS = {"space": archspace.SearchSpaceConfig,
 
 
 def _search_config(args):
-    """Merge preset defaults, an optional config file and the budget mode."""
+    """Merge the budget mode's and preset's defaults, then an optional
+    config file."""
     cfg = {name: {} for name in SEARCH_SECTIONS}
-    if args.preset:
-        p = PRESETS[args.preset]
+    p = PRESETS.get(args.preset)
+    if p:
         cfg["space"]["max_params"] = p["max_params"]
-        if args.budget_mode == "evals":
-            cfg["schedule"] = {
-                "multistart_budget": {"kind": "evaluations",
-                                      "amount": EVAL_BUDGETS["multistart"]},
-                "phase_budget": {"kind": "evaluations",
-                                 "amount": EVAL_BUDGETS["phase"]},
-                "total_budget": {"kind": "evaluations",
-                                 "amount": EVAL_BUDGETS["total"]},
-            }
-        else:
-            cfg["schedule"] = {
-                "multistart_budget": {"kind": "wallclock_seconds",
-                                      "amount": MULTISTART_SECONDS},
-                "phase_budget": {"kind": "wallclock_seconds",
-                                 "amount": p["phase_seconds"]},
-                "total_budget": {"kind": "wallclock_seconds",
-                                 "amount": p["total_seconds"]},
-            }
+    if args.budget_mode == "evals":
+        kind, budgets = "evaluations", EVAL_BUDGETS
+    else:
+        kind, budgets = "wallclock_seconds", p and {
+            "multistart": MULTISTART_SECONDS, "phase": p["phase_seconds"],
+            "total": p["total_seconds"]}
+    if budgets:
+        cfg["schedule"] = {f"{name}_budget": {"kind": kind, "amount": amount}
+                           for name, amount in budgets.items()}
     if args.config:
         user = _load_json_file(args.config, "config")
         if not isinstance(user, dict):

@@ -109,10 +109,10 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
 
     Each repeat re-initialises the weights and redraws the input from its own
     seed; a repeat whose entropy sum is not finite raises FloatingPointError.
-    The graph is prepared for scoring (normalisation suppression, ReLU
-    substitution, absolute weights) once, unless it is already in scoring
-    mode, and each repeat re-initialises the prepared graph, which equals
-    preparing each re-initialised graph.
+    The graph, laid out as the scoring network (no norms, ReLU for GELU),
+    is prepared for scoring (absolute weights) once, unless it is already
+    in scoring mode, and each repeat re-initialises the prepared graph,
+    which equals preparing each re-initialised graph.
     """
     cfg.validate()
     if len(seeds) != cfg.repeats:
@@ -220,10 +220,10 @@ class _Helper:
 
 def _serve(conn, caller_end):
     """The helper process: answer requests until the caller's end closes.
-    The pass is score_genome's own: the same layout, rewrite and redraw, so
-    the same value.  A reply that cannot be sent (the caller is gone, or the
-    error does not pickle) ends the helper, and the caller reruns the
-    pass."""
+    The pass is score_genome's own: the same layout, preparation and
+    redraw, so the same value.  A reply that cannot be sent (the caller is
+    gone, or the error does not pickle) ends the helper, and the caller
+    reruns the pass."""
     caller_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     while True:
@@ -328,15 +328,15 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     each proxy computed has the value of the full report.
 
     One pass: the genome is validated and laid out once, its structure gives
-    the counts and is rewritten for scoring once, and every proxy pass (the
-    entropic repeats, then log-SynFlow from the last seed) re-initialises
-    that one rewritten graph.  A full report of a candidate of at least
-    HELPER_MIN_MACS, on two or more usable CPUs while no other thread uses
-    the helper process, runs log-SynFlow there, laid out and rewritten the
-    same way, while the entropic repeats run here; their exception wins, as
-    in serial order, and an error of the helper's pass is raised here.  If
-    anything else goes wrong with the helper, it is stopped and this thread
-    runs the pass.
+    the counts and has its absolute values taken once, and every proxy pass
+    (the entropic repeats, then log-SynFlow from the last seed)
+    re-initialises that one prepared graph.  A full report of a candidate
+    of at least HELPER_MIN_MACS, on two or more usable CPUs while no other
+    thread uses the helper process, runs log-SynFlow there, laid out and
+    prepared the same way, while the entropic repeats run here; their
+    exception wins, as in serial order, and an error of the helper's pass
+    is raised here.  If anything else goes wrong with the helper, it is
+    stopped and this thread runs the pass.
     """
     cfg = (cfg or EntropicConfig()).validate()
     if not proxies or not set(proxies) <= set(PROXIES):

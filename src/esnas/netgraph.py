@@ -1,11 +1,13 @@
 """Executable computational graphs with a minimal dense-tensor engine.
 
 Graphs are flat topologically-ordered node lists over float64 numpy arrays
-(batch dimension fixed to 1; feature maps are (C, H, W)).  Genomes are laid
-out with norms, GELU and softmax, which the scoring-mode rewrite turns into
-identities, ReLU and a scale, with absolute weights.  The engine runs only
-the rewrite's kinds, evaluating the forward with activation taps, and
-reverse-mode gradients of the output sum with respect to every parameter.
+(batch dimension fixed to 1; feature maps are (C, H, W)).  A genome is laid
+out as the network the proxies score: normalisation suppressed (a norm adds
+its parameter count and no node), ReLU where the block has GELU, and a
+row-sum-preserving scale where attention has softmax.  The engine runs its
+seven kinds, evaluating the forward with activation taps (the ReLU nodes),
+and reverse-mode gradients of the output sum with respect to every
+parameter.
 
 Convolution kernels, forward and backward: a stride-1 depthwise conv is k
 batched matmuls over channels, each multiplying the padded input rows by a
@@ -41,9 +43,6 @@ from .archspace import (
 
 INPUT = -1  # pseudo node id for the graph input
 
-ACTIVATION_KINDS = ("relu", "gelu")
-NORM_KINDS = ("batchnorm", "layernorm")
-
 
 class GraphShapeError(RuntimeError):
     """Shape mismatch while evaluating a node; names the node and both shapes."""
@@ -69,6 +68,7 @@ class Graph:
     activation_taps: list[int]
     out_shapes: list[tuple]
     scoring_mode: bool = False
+    norm_params: int = 0  # counted for the norms, which lay out no node
     last_uses: list | None = field(default=None, repr=False, compare=False)
 
     def copy(self):
@@ -80,7 +80,8 @@ class Graph:
         return Graph([n.copy() for n in self.nodes],
                      tuple(self.input_shape),
                      self.output_id, list(self.activation_taps),
-                     list(self.out_shapes), self.scoring_mode, self.last_uses)
+                     list(self.out_shapes), self.scoring_mode,
+                     self.norm_params, self.last_uses)
 
     def iter_params(self):
         """Yield (node_id, param_index, array) over all parameter tensors."""
@@ -249,8 +250,6 @@ def _node_forward(node, ins):
         return _conv2d_forward(ins[0], node)
     if kind == "relu":
         return np.maximum(ins[0], 0.0)
-    if kind == "identity":
-        return ins[0]
     if kind == "matmul":
         a, b = _matmul_operands(ins[0], ins[1], node.attrs)
         return a @ b
@@ -267,8 +266,7 @@ def _node_forward(node, ins):
         return _zero_pad(ins[0], pad)
     if kind == "reshape":
         return ins[0].reshape(node.attrs["shape"])
-    raise ValueError(f"no kernel for node kind {kind!r}: genome graphs run "
-                     f"after prepare_for_scoring")
+    raise ValueError(f"no kernel for node kind {kind!r}")
 
 
 def _node_backward(node, ins, gout):
@@ -278,8 +276,6 @@ def _node_backward(node, ins, gout):
         return _conv2d_backward(ins[0], node, gout)
     if kind == "relu":
         return [gout * (ins[0] > 0)], []
-    if kind == "identity":
-        return [gout], []
     if kind == "matmul":
         a, b = _matmul_operands(ins[0], ins[1], node.attrs)
         ga = gout @ np.swapaxes(b, -1, -2)
@@ -297,8 +293,7 @@ def _node_backward(node, ins, gout):
         return [gout[:node.attrs["from"]]], []
     if kind == "reshape":
         return [gout.reshape(ins[0].shape)], []
-    raise ValueError(f"no kernel for node kind {kind!r}: genome graphs run "
-                     f"after prepare_for_scoring")
+    raise ValueError(f"no kernel for node kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -399,35 +394,22 @@ def backward_param_grads(graph, reduce=None):
 
 
 def prepare_for_scoring(graph):
-    """Rewrite a graph for proxy scoring; the input graph is left untouched.
+    """A copy of the graph whose every parameter value is replaced by its
+    absolute value, in scoring mode; the input graph is left untouched.  A
+    graph already in scoring mode is returned as it is, so this is
+    idempotent and never copies twice.
 
-    Normalisation nodes become identities, GELU becomes ReLU, softmax becomes
-    a row-sum-preserving scale, and every parameter value is replaced by its
-    absolute value.  A graph already in scoring mode is returned as it is,
-    so the rewrite is idempotent and never copies twice.
-
-    The rewrite commutes with ``reinit``: ``reinit(prepare_for_scoring(g), s)``
+    It commutes with ``reinit``: ``reinit(prepare_for_scoring(g), s)``
     equals ``prepare_for_scoring(reinit(g, s))`` array for array, because
-    normalisation nodes draw nothing and conv nodes draw in the same order.
-    So a candidate is rewritten once and re-initialised for every proxy
+    ``reinit`` takes the absolute values of a scoring-mode graph's draws.
+    So a candidate is prepared once and re-initialised for every proxy
     pass.
     """
     if graph.scoring_mode:
         return graph
     g = graph.copy()
-    for nid, node in enumerate(g.nodes):
-        if node.kind in NORM_KINDS:
-            node.kind = "identity"
-            node.params = []
-            node.attrs = {}
-        elif node.kind == "gelu":
-            node.kind = "relu"
-        elif node.kind == "softmax":
-            axis = node.attrs["axis"]
-            node.kind = "scale"
-            node.attrs = {"factor": 1.0 / g.out_shapes[nid][axis]}
+    for node in g.nodes:
         node.params = [_absolute(p) for p in node.params]
-    g.activation_taps = [i for i, n in enumerate(g.nodes) if n.kind == "relu"]
     g.scoring_mode = True
     _last_uses(g)  # once here, rather than in each redraw's forward
     return g
@@ -455,9 +437,9 @@ def _uniform(rng, bound, shape):
 def reinit(graph, seed):
     """Redraw all weights from U(-1/fan_in, +1/fan_in); returns a copy.
 
-    Conv nodes draw in node order, and nothing else draws: normalisation
-    parameters are read by no kernel, so they keep the structure's unit
-    views.  A scoring-mode graph gets the absolute values of its draws.
+    Conv nodes draw in node order, and nothing else draws: the suppressed
+    norms have no node and no parameter array.  A scoring-mode graph gets
+    the absolute values of its draws.
 
     The reciprocal (rather than root-reciprocal) fan-in scaling keeps the
     absolute-weight scoring forward pass depth-stable: the expected gain of a
@@ -544,16 +526,9 @@ def one_blas_thread():
 # ---------------------------------------------------------------------------
 # graph construction from a genome
 
-# Every structure parameter is a read-only zero-stride view of one of these.
+# Every structure parameter is a read-only zero-stride view of this.
 _ZERO = np.zeros(())
-_ONE = np.ones(())
-_ZERO.flags.writeable = _ONE.flags.writeable = False
-
-
-def _unit_norm(ch):
-    """Unit scale and zero shift, as read-only views of the shared
-    constants."""
-    return [np.broadcast_to(_ONE, (ch,)), np.broadcast_to(_ZERO, (ch,))]
+_ZERO.flags.writeable = False
 
 
 class _Builder:
@@ -561,6 +536,7 @@ class _Builder:
         self.nodes = []
         self.shapes = []
         self.input_shape = tuple(input_shape)
+        self.norm_params = 0
 
     def shape(self, nid):
         return self.input_shape if nid == INPUT else self.shapes[nid]
@@ -585,12 +561,11 @@ class _Builder:
     def unary(self, kind, src, **attrs):
         return self.emit(kind, [src], None, self.shape(src), **attrs)
 
-    def norm_bn(self, src, ch):
-        return self.emit("batchnorm", [src], _unit_norm(ch), self.shape(src))
-
-    def norm_ln(self, src, ch):
-        return self.emit("layernorm", [src], _unit_norm(ch), self.shape(src),
-                         eps=1e-6)
+    def norm(self, src, ch):
+        """A suppressed norm: its scale and shift are counted, and ``src``
+        passes on unchanged."""
+        self.norm_params += 2 * ch
+        return src
 
 
 def _residual(b, block_in, block_out, cin, cout):
@@ -605,18 +580,18 @@ def _append_ffn(b, src, cin, gene_ffn_type, cout, kernel, expansion):
     hid = expansion * cin
     if gene_ffn_type == FFN_IBN:
         x = b.conv(src, cin, hid, 1)
-        x = b.norm_bn(x, hid)
+        x = b.norm(x, hid)
         x = b.unary("relu", x)
         x = b.conv(x, hid, hid, kernel, groups=hid)
-        x = b.norm_bn(x, hid)
+        x = b.norm(x, hid)
         x = b.unary("relu", x)
         x = b.conv(x, hid, cout, 1)
-        x = b.norm_bn(x, cout)
+        x = b.norm(x, cout)
     elif gene_ffn_type == FFN_CONVNEXT:
         x = b.conv(src, cin, cin, kernel, groups=cin)
-        x = b.norm_ln(x, cin)
+        x = b.norm(x, cin)
         x = b.conv(x, cin, hid, 1)
-        x = b.unary("gelu", x)
+        x = b.unary("relu", x)
         x = b.conv(x, hid, cout, 1)
     else:
         raise ValueError(f"unknown ffn type {gene_ffn_type!r}")
@@ -640,7 +615,8 @@ def _append_mhsa(b, src, cin, heads, head_dim):
                     transpose_a=True, transpose_b=False)
     scores = b.emit("scale", [scores], None, (heads, length, length),
                     factor=1.0 / math.sqrt(head_dim))
-    attn = b.emit("softmax", [scores], None, (heads, length, length), axis=-1)
+    attn = b.emit("scale", [scores], None, (heads, length, length),
+                  factor=1.0 / length)
     ctx = b.emit("matmul", [v, attn], None, (heads, head_dim, length),
                  transpose_a=False, transpose_b=True)
     ctx = b.emit("reshape", [ctx], None, (hd, hs, ws), shape=(hd, hs, ws))
@@ -649,13 +625,16 @@ def _append_mhsa(b, src, cin, heads, head_dim):
 
 
 def build_structure(genome, config):
-    """Validate a genome and lay out its graph without drawing weights.
+    """Validate a genome and lay out its scoring network without drawing
+    weights.
 
-    Conv weights and biases are zeros and norms hold unit scale and zero
-    shift, each a read-only zero-stride view of one shared constant, so
-    every node, shape and parameter count is final, no random number is
-    drawn and no parameter memory is allocated: parameter and MAC counts
-    are taken from this.  ``build_graph`` adds the seeded weights.
+    Each norm adds its 2*C parameters to ``norm_params`` and no node;
+    ConvNeXt's GELU is a ReLU, and attention's softmax is a scale by
+    1/L, which keeps the row sums of the non-negative scores.  Conv weights
+    and biases are read-only zero-stride views of one shared zero, so every
+    node, shape and parameter count is final, no random number is drawn
+    and no parameter memory is allocated: parameter and MAC counts are
+    taken from this.  ``build_graph`` adds the seeded weights.
     """
     violations = validate(genome, config)
     if violations:
@@ -680,9 +659,10 @@ def build_structure(genome, config):
                 x = _append_ffn(b, x, cur, gene.ffn_type, gene.out_channels,
                                 gene.kernel_size, gene.expansion_ratio)
             cur = gene.out_channels
-    taps = [i for i, n in enumerate(b.nodes) if n.kind in ACTIVATION_KINDS]
+    taps = [i for i, n in enumerate(b.nodes) if n.kind == "relu"]
     return Graph(nodes=b.nodes, input_shape=b.input_shape, output_id=x,
-                 activation_taps=taps, out_shapes=b.shapes)
+                 activation_taps=taps, out_shapes=b.shapes,
+                 norm_params=b.norm_params)
 
 
 def build_graph(genome, config, seed):
@@ -695,7 +675,7 @@ def build_graph(genome, config, seed):
 # analytic counting
 
 def count_graph_params(graph):
-    return int(sum(p.size for _, _, p in graph.iter_params()))
+    return graph.norm_params + sum(p.size for _, _, p in graph.iter_params())
 
 
 def count_graph_macs(graph):

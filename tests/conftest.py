@@ -20,6 +20,20 @@ def conv1x1_graph(weights, bias=None):
     return netgraph.Graph(b.nodes, b.input_shape, nid, [], b.shapes)
 
 
+def genome_norm_params(genome, config):
+    """Scale and shift parameters of a genome's norms, from its genes: an
+    IBN FFN normalises its hidden width twice and its output once, a
+    ConvNeXt FFN its input once, and attention has no norm."""
+    total, cin = 0, config.stem_channels
+    for _, _, gene in genome.blocks():
+        if gene.ffn_type == "ibn":
+            total += 2 * (2 * gene.expansion_ratio * cin + gene.out_channels)
+        else:
+            total += 2 * cin
+        cin = gene.out_channels
+    return total
+
+
 @pytest.fixture
 def tiny_config():
     """Two conv blocks at 16px, no attention; cheap enough for heavy loops."""

@@ -26,7 +26,7 @@ from esnas.archspace import (
     validate,
 )
 
-from conftest import conv1x1_graph
+from conftest import conv1x1_graph, genome_norm_params
 
 
 def count_macs(genome, config):
@@ -341,8 +341,9 @@ class TestCounting:
         conv_params = sum(p.size for n in block_nodes if n.kind == "conv2d"
                           for p in n.params)
         assert conv_params == 2768
-        norm_params = sum(p.size for n in block_nodes if n.kind == "batchnorm"
-                          for p in n.params)
+        # scale and shift of the norms after expand, depthwise and project
+        norm_params = 2 * (64 + 64 + 16)
+        assert norm_params == 288
         stem_params = sum(p.size for n in graph.nodes[:2] for p in n.params)
         assert archspace.count_params(g, cfg) == conv_params + norm_params + stem_params
 
@@ -352,6 +353,7 @@ class TestCounting:
             graph = netgraph.build_graph(g, attn_config, seed=s)
             enumerated = sum(np.prod(p.shape) for node in graph.nodes
                              for p in node.params)
+            enumerated += genome_norm_params(g, attn_config)
             assert archspace.count_params(g, attn_config) == enumerated
 
     def test_count_params_draws_nothing(self, attn_config, monkeypatch):

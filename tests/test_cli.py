@@ -228,6 +228,18 @@ class TestSearch:
         assert code == 2
         assert "evaluation budgets" in json.loads(err)["error"]["message"]
 
+    def test_evals_mode_without_preset_takes_the_evaluation_budgets(
+            self, tmp_path, tiny_config, capsys):
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps({"space": tiny_config.to_dict()}))
+        dirs = [tmp_path / "plain", tmp_path / "preset"]
+        for d, preset in zip(dirs, ([], ["--preset", "S0"])):
+            code, _, err = run(["search", *preset, "--budget-mode", "evals",
+                                "--config", str(p), "--out", str(d)], capsys)
+            assert code == 0, err
+        for name in ("best_genome.json", "best_report.json", "history.ndjson"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
     def test_config_typos_exit_2_naming_each_key(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({

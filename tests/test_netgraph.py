@@ -22,7 +22,7 @@ from esnas.netgraph import (
     reinit,
 )
 
-from conftest import conv1x1_graph
+from conftest import conv1x1_graph, enumerate_space, genome_norm_params
 
 rng = np.random.default_rng(12345)
 
@@ -86,8 +86,7 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-7):
 
 
 # ---------------------------------------------------------------------------
-# randomized graph templates whose rewrites cover every node kind the
-# engine runs
+# randomized graph templates that cover every node kind the engine runs
 
 def rand_params(node, seed, scale=0.5):
     r = np.random.default_rng(seed)
@@ -95,16 +94,20 @@ def rand_params(node, seed, scale=0.5):
 
 
 def template_ibn(seed):
+    # the widening residual pads a conv's output, so the gradients of that
+    # conv's parameters pass through zeropad's backward
     r = np.random.default_rng(seed)
     c = int(r.integers(2, 5))
     b = _Builder((c, 4, 4))
-    x = b.conv(INPUT, c, 2 * c, 1)
-    x = b.norm_bn(x, 2 * c)
+    block_in = b.conv(INPUT, c, c, 1)
+    x = b.conv(block_in, c, 2 * c, 1)
+    x = b.norm(x, 2 * c)
     x = b.unary("relu", x)
     x = b.conv(x, 2 * c, 2 * c, 3, groups=2 * c)
     x = b.unary("relu", x)
     x = b.conv(x, 2 * c, c + 1, 1)
-    pad = b.emit("zeropad", [INPUT], None, (c + 1, 4, 4), **{"from": c, "to": c + 1})
+    pad = b.emit("zeropad", [block_in], None, (c + 1, 4, 4),
+                 **{"from": c, "to": c + 1})
     x = b.emit("add", [pad, x], None, b.shape(x))
     return b, x
 
@@ -114,9 +117,9 @@ def template_convnext(seed):
     c = int(r.integers(2, 5))
     b = _Builder((c, 4, 4))
     x = b.conv(INPUT, c, c, 3, groups=c)
-    x = b.norm_ln(x, c)
+    x = b.norm(x, c)
     x = b.conv(x, c, 3 * c, 1)
-    x = b.unary("gelu", x)
+    x = b.unary("relu", x)
     x = b.conv(x, 3 * c, c, 1)
     x = b.emit("add", [INPUT, x], None, b.shape(x))
     return b, x
@@ -137,7 +140,7 @@ def template_attention(seed):
     s = b.emit("matmul", [q, k], None, (heads, 4, 4),
                transpose_a=True, transpose_b=False)
     s = b.emit("scale", [s], None, (heads, 4, 4), factor=1 / math.sqrt(dim))
-    s = b.emit("softmax", [s], None, (heads, 4, 4), axis=-1)
+    s = b.emit("scale", [s], None, (heads, 4, 4), factor=1 / 4)
     x = b.emit("matmul", [v, s], None, (heads, dim, 4),
                transpose_a=False, transpose_b=True)
     x = b.emit("reshape", [x], None, (hd, 2, 2), shape=(hd, 2, 2))
@@ -174,20 +177,20 @@ def with_random_params(g, seed):
 
 
 def laid_out_graph(template, seed):
-    """The template's graph as laid out, before the scoring rewrite, with
+    """The template's graph as laid out, before prepare_for_scoring, with
     signed random parameters."""
     b, out = template(seed)
     g = Graph(nodes=b.nodes, input_shape=b.input_shape, output_id=out,
               activation_taps=[i for i, n in enumerate(b.nodes)
-                               if n.kind in netgraph.ACTIVATION_KINDS],
-              out_shapes=b.shapes)
+                               if n.kind == "relu"],
+              out_shapes=b.shapes, norm_params=b.norm_params)
     return with_random_params(g, seed)
 
 
 def make_graph(template, seed):
-    """The template's graph as the engine runs it: rewritten by
-    prepare_for_scoring, then given signed random parameters again, so that
-    inputs cross the ReLU kinks."""
+    """The template's graph as the engine runs it: prepared for scoring,
+    then given signed random parameters again, so that inputs cross the
+    ReLU kinks."""
     return with_random_params(
         prepare_for_scoring(laid_out_graph(template, seed)), seed)
 
@@ -263,18 +266,24 @@ class TestForward:
         _, taps = forward(graph, np.ones(graph.input_shape))
         assert len(taps) == len(graph.activation_taps)
 
-    def test_graph_before_the_rewrite_raises_naming_the_kind(self,
-                                                             tiny_config):
-        from esnas.archspace import ArchGenome
-        genome = ArchGenome(stages=[[FfnGene("ibn", 8, 3, 2),
-                                     FfnGene("ibn", 8, 3, 2)]],
-                            config_ref=tiny_config.ref())
-        graph = build_graph(genome, tiny_config, seed=0)
-        message = "'batchnorm'.*after prepare_for_scoring"
-        with pytest.raises(ValueError, match=message):
+    def test_unknown_kind_raises_naming_it(self):
+        b = _Builder((2, 1, 1))
+        x = b.unary("gelu", b.conv(INPUT, 2, 2, 1))
+        graph = Graph(b.nodes, b.input_shape, x, [x], b.shapes)
+        with pytest.raises(ValueError, match="no kernel for node kind 'gelu'"):
             forward(graph, np.ones(graph.input_shape))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="no kernel for node kind 'gelu'"):
             backward_param_grads(graph)
+        with pytest.raises(ValueError, match="no kernel for node kind 'gelu'"):
+            netgraph._node_backward(graph.nodes[x], [np.ones((2, 1, 1))],
+                                    np.ones((2, 1, 1)))
+
+    def test_genome_graph_runs_as_built(self, attn_config):
+        graph = build_graph(random_genome(attn_config, 2), attn_config, 0)
+        out, taps = forward(graph, np.ones(graph.input_shape))
+        assert np.all(np.isfinite(out)) and len(taps) > 0
+        _, grads = backward_param_grads(graph)
+        assert len(grads) == len(list(graph.iter_params()))
 
 
 @st.composite
@@ -329,6 +338,14 @@ class TestConvProperties:
                                rtol=1e-12, atol=0)
 
 
+ENGINE_KINDS = {"conv2d", "relu", "scale", "matmul", "add", "zeropad",
+                "reshape"}
+
+
+def consumers(graph, nid):
+    return [i for i, n in enumerate(graph.nodes) if nid in n.inputs]
+
+
 class TestBuildGraph:
     def test_ibn_block_structure(self, tiny_config):
         from esnas.archspace import ArchGenome
@@ -372,24 +389,81 @@ class TestBuildGraph:
             if any(isinstance(g, AttnGene) for _, _, g in genome.blocks()):
                 graph = build_graph(genome, attn_config, seed=0)
                 kinds = {n.kind for n in graph.nodes}
-                assert {"softmax", "matmul", "reshape"} <= kinds
+                assert {"scale", "matmul", "reshape"} <= kinds
                 return
         pytest.fail("no attention genome drawn")
 
+    def test_convnext_expansion_activation_is_a_relu_tap(self, tiny_config):
+        from esnas.archspace import ArchGenome
+        genome = ArchGenome(stages=[[FfnGene("convnext", 8, 5, 2),
+                                     FfnGene("convnext", 16, 3, 2)]],
+                            config_ref=tiny_config.ref())
+        graph = build_structure(genome, tiny_config)
+        expansions = [i for i, n in enumerate(graph.nodes)
+                      if n.kind == "conv2d" and n.attrs["kernel"] == 1
+                      and n.attrs["out_ch"] == 2 * n.attrs["in_ch"]]
+        assert len(expansions) == 2
+        for nid in expansions:
+            (act,) = consumers(graph, nid)
+            assert graph.nodes[act].kind == "relu"
+            assert act in graph.activation_taps
+        assert graph.activation_taps == [
+            i for i, n in enumerate(graph.nodes) if n.kind == "relu"]
+
+    def test_attention_scores_scaled_by_root_dim_then_length(self,
+                                                             attn_config):
+        from esnas.archspace import ArchGenome
+        genome = ArchGenome(stages=[
+            [FfnGene("ibn", 8, 3, 2)],
+            [AttnGene("ibn", 16, 2, 2, 8), FfnGene("ibn", 16, 3, 2)]],
+            config_ref=attn_config.ref())
+        graph = build_structure(genome, attn_config)
+        (qk,) = [i for i, n in enumerate(graph.nodes)
+                 if n.kind == "matmul" and n.attrs["transpose_a"]]
+        heads, length, _ = graph.out_shapes[qk]
+        assert (heads, length) == (2, 4)  # 16 px, three stride-2 convs
+        (by_dim,) = consumers(graph, qk)
+        (by_length,) = consumers(graph, by_dim)
+        (av,) = consumers(graph, by_length)
+        assert graph.nodes[by_dim].kind == graph.nodes[by_length].kind == "scale"
+        assert graph.nodes[by_dim].attrs["factor"] == 1.0 / math.sqrt(8)
+        assert graph.nodes[by_length].attrs["factor"] == 1.0 / length
+        assert graph.nodes[av].kind == "matmul"
+        assert graph.nodes[av].inputs[1] == by_length
+
+    def test_layouts_hold_only_engine_kinds_and_count_their_norms(
+            self, tiny_config, attn_config):
+        default = SearchSpaceConfig().validate()
+        cases = [(g, tiny_config) for g in enumerate_space(tiny_config)]
+        cases += [(random_genome(cfg, s), cfg) for cfg in (attn_config, default)
+                  for s in range(50)]
+        for genome, cfg in cases:
+            graph = build_structure(genome, cfg)
+            assert {n.kind for n in graph.nodes} <= ENGINE_KINDS
+            conv = sum(p.size for _, _, p in graph.iter_params())
+            assert count_graph_params(graph) == (
+                conv + genome_norm_params(genome, cfg))
+
+    def test_ibn_block_lays_out_no_norm_and_counts_it(self):
+        # one IBN block, C_in = C_out = 16, expansion 4: norms after the
+        # expansion, the depthwise conv and the projection
+        cfg = SearchSpaceConfig(
+            num_stages=1, blocks_per_stage=[1], attention_stages=set(),
+            stem_channels=16, channel_domain=[[16]], kernel_domain=[3],
+            expansion_domain=[4], ffn_types=["ibn"], input_resolution=16,
+        ).validate()
+        graph = build_structure(random_genome(cfg, 0), cfg)
+        assert {n.kind for n in graph.nodes} <= ENGINE_KINDS
+        assert graph.norm_params == 2 * (2 * 64 + 16)
+        assert graph.copy().norm_params == graph.norm_params
+
 
 class TestPrepare:
-    def test_gelu_replaced_by_relu(self):
-        g = laid_out_graph(template_convnext, 3)
-        p = prepare_for_scoring(g)
-        assert not any(n.kind == "gelu" for n in p.nodes)
-        gelu_pos = [i for i, n in enumerate(g.nodes) if n.kind == "gelu"]
-        assert all(p.nodes[i].kind == "relu" for i in gelu_pos)
-
-    def test_norms_suppressed_and_weights_abs(self):
+    def test_weights_abs_and_original_untouched(self):
         g = laid_out_graph(template_ibn, 4)
         g.nodes[0].params[0][0, 0, 0, 0] = -3.5
         p = prepare_for_scoring(g)
-        assert not any(n.kind in ("batchnorm", "layernorm") for n in p.nodes)
+        assert [n.kind for n in p.nodes] == [n.kind for n in g.nodes]
         assert p.nodes[0].params[0][0, 0, 0, 0] == 3.5
         assert all((q >= 0).all() for _, _, q in p.iter_params())
         # original untouched
@@ -408,14 +482,6 @@ class TestPrepare:
         for t in TEMPLATES:
             p = prepare_for_scoring(laid_out_graph(t, 5))
             assert prepare_for_scoring(p) is p
-
-    def test_softmax_becomes_row_preserving_scale(self):
-        g = laid_out_graph(template_attention, 2)
-        p = prepare_for_scoring(g)
-        assert not any(n.kind == "softmax" for n in p.nodes)
-        idx = [i for i, n in enumerate(g.nodes) if n.kind == "softmax"][0]
-        assert p.nodes[idx].kind == "scale"
-        assert p.nodes[idx].attrs["factor"] == 1.0 / g.out_shapes[idx][-1]
 
     def test_nonnegative_propagation(self, attn_config):
         for s in range(5):
@@ -541,8 +607,15 @@ class TestBackward:
         assert_grads_close(backward_param_grads(g)[1], fd_param_grads(g))
 
     def test_scoring_graph_gradients(self, attn_config):
-        genome = random_genome(attn_config, 1)
+        # the cheapest attn_config genome with an attention block, both FFN
+        # types and a channel-widening block (its residual pads)
+        from esnas.archspace import ArchGenome
+        genome = ArchGenome(stages=[
+            [FfnGene("ibn", 8, 3, 2)],
+            [AttnGene("convnext", 16, 2, 2, 4), FfnGene("convnext", 16, 3, 2)]],
+            config_ref=attn_config.ref())
         g = prepare_for_scoring(build_graph(genome, attn_config, seed=0))
+        assert {n.kind for n in g.nodes} == ENGINE_KINDS
         _, analytic = backward_param_grads(g)
         numeric = fd_param_grads(g)
         assert_grads_close(analytic, numeric)
@@ -614,27 +687,22 @@ def filled(graph):
 
 class TestWeightFreeStructure:
     """build_structure lays a genome out without parameter memory: every
-    parameter is a read-only zero-stride view of one shared constant."""
+    parameter is a read-only zero-stride view of one shared zero."""
 
     def test_parameters_are_read_only_views_of_shared_constants(
             self, attn_config):
         structure = build_structure(random_genome(attn_config, 3), attn_config)
-        for node in structure.nodes:
-            for p, value in zip(node.params, (
-                    (1.0, 0.0) if node.kind in netgraph.NORM_KINDS
-                    else (0.0, 0.0))):
-                assert p.strides == (0,) * p.ndim
-                assert np.shares_memory(
-                    p, netgraph._ONE if value else netgraph._ZERO)
-                assert np.all(p == value)
-                assert not p.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    p[(0,) * p.ndim] = 1.0
-        # drawn weights are fresh arrays; no kernel reads the norms
+        for _, _, p in structure.iter_params():
+            assert p.strides == (0,) * p.ndim
+            assert np.shares_memory(p, netgraph._ZERO)
+            assert np.all(p == 0.0)
+            assert not p.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p[(0,) * p.ndim] = 1.0
+        # drawn weights are fresh arrays
         drawn = reinit(structure, 0)
         assert all(p.flags.writeable and p.flags.c_contiguous
-                   for nid, _, p in drawn.iter_params()
-                   if drawn.nodes[nid].kind == "conv2d")
+                   for _, _, p in drawn.iter_params())
 
     def test_reads_as_filled_arrays_do(self, attn_config):
         """Counts, the layout, and forward and backward passes of the
