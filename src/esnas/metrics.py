@@ -88,6 +88,8 @@ def normalize_activations(tap, cfg):
     else:
         m = tap.max(axis=tuple(range(1, tap.ndim)), keepdims=True) \
             if tap.ndim > 1 else tap.copy()
+    if np.all(m > 0):
+        return tap / m
     return np.divide(tap, m, out=np.zeros_like(tap), where=m > 0)
 
 
@@ -95,7 +97,11 @@ def layer_entropy(normalized, epsilon):
     """Mean of -a*ln(a+eps) over all elements, clamped to be non-negative."""
     a = np.asarray(normalized, dtype=float)
     if epsilon > 0:
-        val = float(np.mean(-a * np.log(a + epsilon)))
+        # -mean(a*ln(a+eps)) in one buffer; negating the mean negates the sum
+        t = a + epsilon
+        np.log(t, out=t)
+        t *= a
+        val = -float(np.mean(t))
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(a > 0, -a * np.log(np.where(a > 0, a, 1.0)), 0.0)

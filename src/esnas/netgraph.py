@@ -10,10 +10,12 @@ and reverse-mode gradients of the output sum with respect to every
 parameter.
 
 Convolution kernels, forward and backward: a stride-1 depthwise conv is k
-batched matmuls over channels, each multiplying the padded input rows by a
-banded matrix built from one kernel row; every other conv (1x1, the strided
-stem and downsamplers, other groupings) is an im2col window view times the
-weights, one matmul per group.
+batched matmuls over channels, each multiplying the rows of overlapping
+width tiles (at most 8 output columns) of the padded input by one small
+banded matrix built from a kernel row, the backward overlap-adding the
+tiles' gradients; a stride-1 1x1 conv is one matmul; every other conv (the
+strided stem and downsamplers, other groupings) is an im2col window view
+times the weights, one matmul per group.
 
 The forward streams: it hands each activation tap to the caller's ``tap``
 function as the tap is produced and drops every value after its last
@@ -146,40 +148,82 @@ def _depthwise_band(w, width_in, width_out):
     return band.reshape(c, k, width_in, width_out), idx
 
 
+_TILE = 8  # most output columns per depthwise width tile
+
+
+def _width_tiles(x, pad, k):
+    """The padded input cut into nt overlapping width tiles, (C, Hp, nt,
+    t+k-1), each feeding t output columns, and t: wo split evenly into
+    tiles of at most _TILE columns, the last one zero-padded.  One tile is
+    the padded input itself."""
+    c, h, w = x.shape
+    wo = w + 2 * pad - k + 1
+    nt = -(-wo // _TILE)
+    t = -(-wo // nt)
+    xp = _zero_pad(x, ((0, 0), (pad, pad), (pad, pad + nt * t - wo)))
+    sc, sh, sw = xp.strides
+    tiles = as_strided(xp, (c, h + 2 * pad, nt, t + k - 1),
+                       (sc, sh, t * sw, sw))
+    return (tiles.copy() if nt > 1 else tiles), t
+
+
 def _depthwise_forward(x, w, pad):
-    # k batched (Ho, Wp) @ (Wp, Wo) matmuls over channels, one per kernel row
-    xp = _pad_hw(x, pad)
-    k = w.shape[1]
-    ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
-    band, _ = _depthwise_band(w, xp.shape[2], wo)
-    out = xp[:, :ho] @ band[:, 0]
+    # per kernel row, one batched (Ho*nt, t+k-1) @ (t+k-1, t) matmul over
+    # channels; every tile shares the row's band
+    c, k, _ = w.shape
+    xt, t = _width_tiles(x, pad, k)
+    nt, tk = xt.shape[2:]
+    ho, wo = xt.shape[1] - k + 1, x.shape[2] + 2 * pad - k + 1
+    band, _ = _depthwise_band(w, tk, t)
+    out = xt[:, :ho].reshape(c, -1, tk) @ band[:, 0]
     for i in range(1, k):
-        out += xp[:, i:i + ho] @ band[:, i]
-    return out
+        out += xt[:, i:i + ho].reshape(c, -1, tk) @ band[:, i]
+    return out.reshape(c, ho, nt * t)[:, :, :wo]
 
 
 def _depthwise_backward(x, w, pad, gout):
-    # gx through the transposed bands; gw[:, i] from the band diagonals of
-    # the padded rows' correlation with gout
-    xp = _pad_hw(x, pad)
+    # gx through the transposed bands, tile by tile, then overlap-added;
+    # gw[:, i] from the band diagonals of the tiles' correlation with gout
     c, k, _ = w.shape
+    xt, t = _width_tiles(x, pad, k)
+    hp, nt, tk = xt.shape[1:]
     ho, wo = gout.shape[1:]
-    band, idx = _depthwise_band(w, xp.shape[2], wo)
-    gxp = np.zeros_like(xp)
+    band, idx = _depthwise_band(w, tk, t)
+    gt = (_zero_pad(gout, ((0, 0), (0, 0), (0, nt * t - wo)))
+          if nt * t > wo else gout).reshape(c, -1, t)
+    gxt = np.zeros_like(xt)
     gw = np.empty_like(w)
     for i in range(k):
-        gxp[:, i:i + ho] += gout @ band[:, i].transpose(0, 2, 1)
-        corr = xp[:, i:i + ho].transpose(0, 2, 1) @ gout
+        gxt[:, i:i + ho] += (gt @ band[:, i].transpose(0, 2, 1)).reshape(
+            c, ho, nt, tk)
+        corr = xt[:, i:i + ho].reshape(c, -1, tk).transpose(0, 2, 1) @ gt
         gw[:, i] = corr.reshape(c, -1)[:, idx].sum(axis=-1)
+    if nt == 1:
+        gxp = gxt.reshape(c, hp, tk)
+    else:
+        # tile j's column s lands on column j*t + s: the t-column body,
+        # then the k-1-column halo, in spans of at most t so that no two
+        # tiles' columns meet in one add
+        gxp = np.zeros((c, hp, nt * t + k - 1))
+        sc, sh, sw = gxp.strides
+        for s in range(0, tk, t):
+            cols = as_strided(gxp[:, :, s:], (c, hp, nt, min(t, tk - s)),
+                              (sc, sh, t * sw, sw))
+            cols += gxt[..., s:s + t]
     h, wd = x.shape[1:]
     return gxp[:, pad:pad + h, pad:pad + wd], gw
 
 
-def _is_depthwise(node, cin):
-    """Whether a conv node takes the banded-matmul depthwise kernel rather
-    than im2col: stride 1 and one group per input and output channel."""
+def _conv_path(node, cin):
+    """The kernel a conv node takes: "depthwise" (banded matmuls, stride 1
+    and one group per input and output channel), "pointwise" (one direct
+    matmul, a stride-1 dense 1x1) or "im2col" (every other conv)."""
     a = node.attrs
-    return a["stride"] == 1 and a["groups"] == cin == node.params[0].shape[0]
+    if a["stride"] != 1:
+        return "im2col"
+    if a["groups"] == cin == node.params[0].shape[0]:
+        return "depthwise"
+    return "pointwise" if a["kernel"] == 1 and a["groups"] == 1 else "im2col"
 
 
 def _conv2d_forward(x, node):
@@ -188,8 +232,12 @@ def _conv2d_forward(x, node):
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
-    if _is_depthwise(node, cin):
+    path = _conv_path(node, cin)
+    if path == "depthwise":
         out = _depthwise_forward(x, w[:, 0], pad)
+    elif path == "pointwise":
+        out = (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(
+            (cout,) + x.shape[1:])
     else:
         win, ho, wo = _im2col(x, k, stride, pad)
         out = np.empty((cout, ho, wo))
@@ -210,9 +258,14 @@ def _conv2d_backward(x, node, gout):
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
-    if _is_depthwise(node, cin):
+    path = _conv_path(node, cin)
+    if path == "depthwise":
         gx, gw = _depthwise_backward(x, w[:, 0], pad, gout)
         gw = gw[:, None]
+    elif path == "pointwise":
+        gflat = gout.reshape(cout, -1)
+        gw = (gflat @ x.reshape(cin, -1).T).reshape(w.shape)
+        gx = (w.reshape(cout, cin).T @ gflat).reshape(x.shape)
     else:
         win, ho, wo = _im2col(x, k, stride, pad)
         gw = np.empty_like(w)
@@ -491,6 +544,22 @@ def _find_blas_controls():
     return controls
 
 
+def _keep_freed_memory():
+    """Have glibc keep freed memory, so that each scoring pass reuses the
+    last one's pages instead of faulting in fresh ones: blocks up to 32 MiB
+    (its most) come from the heap, which is trimmed only once 256 MiB lie
+    free at its top.  Both are set, as setting either stops glibc tuning
+    the other.  Process-wide and inherited by forks; returns whether libc
+    has ``mallopt`` and took both values."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # M_TRIM_THRESHOLD is -1, M_MMAP_THRESHOLD -3
+    return [mallopt(-1, 256 << 20), mallopt(-3, 32 << 20)] == [1, 1]
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body (or, as a decorator, the function) with OpenBLAS at one
@@ -501,13 +570,16 @@ def one_blas_thread():
     A library already at one thread is not called: after a fork, any call
     that sets the count restarts OpenBLAS's thread pool, whose new thread
     spins for ~0.1 s of CPU.  A pool forked inside this context thus gets
-    workers that score at one thread without that cost.
+    workers that score at one thread without that cost.  The first entry
+    in a process, which looks OpenBLAS up, also has the process keep freed
+    memory (``_keep_freed_memory``).
     """
     global _blas_users, _blas_saved, _blas_controls
     with _blas_lock:
         if _blas_users == 0:
             if _blas_controls is None:
                 _blas_controls = _find_blas_controls()
+                _keep_freed_memory()
             _blas_saved = [(setter, n) for setter, getter in _blas_controls
                            if (n := getter()) != 1]
             for setter, _ in _blas_saved:

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import json
 import math
@@ -5,6 +6,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import random
+import resource
 import signal
 import warnings
 from pathlib import Path
@@ -121,6 +123,38 @@ class TestLayerEntropy:
         for _ in range(20):
             a = rng.uniform(0, 1, 100)
             assert layer_entropy(a, 1e-8) <= 1.0 / math.e + 1e-6
+
+
+def pinned_taps(axis):
+    """Non-negative (4, 3, 3) taps: every group live, one group zero, one
+    group holding a NaN; a group is a position across channels, or a
+    channel."""
+    live = np.abs(np.random.default_rng(31).normal(0, 1, (4, 3, 3)))
+    zero, nan = live.copy(), live.copy()
+    zero[(slice(None), 1, 2) if axis == "across_channels" else 2] = 0.0
+    nan[(1, 1, 2) if axis == "across_channels" else (2, 0, 1)] = np.nan
+    return {"live": live, "zero group": zero, "nan group": nan}
+
+
+class TestEntropyPinnedFormulas:
+    """normalize_activations and layer_entropy equal, bit for bit, the
+    formulas they were first written as."""
+
+    @pytest.mark.parametrize("axis", ["across_channels", "per_channel"])
+    def test_bit_for_bit(self, axis):
+        cfg = EntropicConfig(norm_axis=axis)
+        for name, tap in pinned_taps(axis).items():
+            m = (tap.max(axis=0, keepdims=True) if axis == "across_channels"
+                 else tap.max(axis=(1, 2), keepdims=True))
+            ref = np.divide(tap, m, out=np.zeros_like(tap), where=m > 0)
+            out = normalize_activations(tap, cfg)
+            assert out.tobytes() == ref.tobytes(), name
+            assert np.isfinite(out).all(), name
+            for a in (ref, tap / np.nanmax(tap)):
+                want = max(float(np.mean(-a * np.log(a + cfg.epsilon))), 0.0)
+                got = layer_entropy(a, cfg.epsilon)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes() \
+                    or (math.isnan(got) and math.isnan(want)), name
 
 
 class TestEntropicScore:
@@ -403,6 +437,31 @@ def one_proxy_cases():
     space224, base_seed, genomes = stored_224_genomes(3)
     return ([(space64, 0, random_genome(space64, s)) for s in sorted(PINNED_64PX)]
             + [(space224, base_seed, g) for g in genomes])
+
+
+class TestFreedMemory:
+    """Scoring keeps freed memory in the process (glibc's mallopt)."""
+
+    def test_mallopt_takes_both_values(self):
+        libc_has_it = hasattr(ctypes.CDLL(None), "mallopt")
+        assert netgraph._keep_freed_memory() is libc_has_it
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="libc has no mallopt")
+    def test_repeated_scoring_reuses_freed_pages(self):
+        # each call frees its ~49 MiB of arrays; handed back to the kernel,
+        # they fault in afresh on the next call (~12,500 pages)
+        space, base_seed, (genome,) = stored_224_genomes(1)
+
+        def minor_faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        for _ in range(2):
+            score_genome(genome, space, base_seed=base_seed,
+                         proxies=("entropic",))
+        before = minor_faults()
+        score_genome(genome, space, base_seed=base_seed, proxies=("entropic",))
+        assert minor_faults() - before < 1000
 
 
 class TestOneProxy:

@@ -286,27 +286,39 @@ class TestForward:
         assert len(grads) == len(list(graph.iter_params()))
 
 
+# the kernel each drawn path takes: banded depthwise, one direct matmul for
+# a stride-1 dense 1x1, im2col for the rest
+KERNEL_OF_PATH = {"depthwise": "depthwise", "pointwise": "pointwise",
+                  "strided": "im2col", "grouped": "im2col", "dense": "im2col"}
+
+
 @st.composite
 def conv_shapes(draw, path):
     """(k, stride, groups, cin, cout, hw, bias) of a conv that takes the
-    given kernel path: banded "depthwise", or im2col "strided", "grouped" or
-    "dense"."""
+    given path: "depthwise", "pointwise", or im2col's "strided", "grouped"
+    or "dense".  Depthwise and pointwise maps reach 30 px, so that the
+    depthwise kernel's width tiles (8 columns at most) come in several,
+    with a zero-padded last tile."""
     k = draw(st.sampled_from([1, 3, 5, 7]))
     hw, bias = draw(st.integers(1, 7)), draw(st.booleans())
     if path == "depthwise":
         c = draw(st.integers(1, 6))
-        return k, 1, c, c, c, hw, bias
+        return k, 1, c, c, c, draw(st.integers(1, 30)), bias
+    if path == "pointwise":
+        cin, cout = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        assume(cin * cout > 1)  # else it is depthwise
+        return 1, 1, 1, cin, cout, draw(st.integers(1, 30)), bias
     stride = draw(st.integers(2, 3)) if path == "strided" else 1
     groups = 1 if path == "dense" else draw(
         st.integers(2 if path == "grouped" else 1, 3))
     per_in, per_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     assume(stride > 1 or per_in * per_out > 1)  # else it is depthwise
+    assume(stride > 1 or groups > 1 or k > 1)  # else it is pointwise
     return k, stride, groups, groups * per_in, groups * per_out, hw, bias
 
 
 class TestConvProperties:
-    @pytest.mark.parametrize("path", ["depthwise", "strided", "grouped",
-                                      "dense"])
+    @pytest.mark.parametrize("path", sorted(KERNEL_OF_PATH))
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(data=st.data())
     def test_matches_naive_oracle(self, path, data):
@@ -319,7 +331,7 @@ class TestConvProperties:
             INPUT, cin, cout, k, stride=stride, groups=groups, bias=bias),
             [], b.shapes)
         node = g.nodes[0]
-        assert netgraph._is_depthwise(node, cin) == (path == "depthwise")
+        assert netgraph._conv_path(node, cin) == KERNEL_OF_PATH[path]
         r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         node.params = [r.normal(0, 0.5, p.shape) for p in node.params]
         x = r.normal(0, 1, (cin, hw, hw))
@@ -593,6 +605,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("k,hw,bias", [
         (3, 4, True), (5, 5, False), (7, 3, True), (7, 2, False), (7, 1, True),
+        (7, 9, True),  # two 5-column width tiles with a 6-column halo
     ])
     def test_pointwise_depthwise_gradients(self, k, hw, bias):
         # the 1x1 node comes first, so its weight gradient checks the
