@@ -44,7 +44,9 @@ class ConfigError(ValueError):
 def reject_unknown_keys(d, cls, section):
     """Raise ConfigError naming every key of ``d`` that is not a field of the
     dataclass ``cls``, so a misspelt config key fails instead of being
-    dropped for its default."""
+    dropped for its default; ``d`` must be a dict, a JSON object."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
     known = list(cls.__dataclass_fields__)
     unknown = [k for k in d if k not in known]
     if unknown:
@@ -155,6 +157,10 @@ class SearchSpaceConfig:
         if all(chans) and any(b[0] < a[0] or b[-1] < a[-1] for a, b in zip(chans, chans[1:])):
             problems.append(f"channel_domain stage ranges must not fall from one "
                             f"stage to the next: {chans}")
+        if chans and chans[0] and self.stem_channels > chans[0][0]:
+            # a residual pads its input's channels up, never down
+            problems.append(f"stem_channels {self.stem_channels} exceeds "
+                            f"channel_domain[0]'s least value {chans[0][0]}")
         for i, di in enumerate(chans):
             for j, dj in enumerate(chans):
                 if i == j or not di or not dj:

@@ -158,7 +158,7 @@ class SearchSchedule:
         archspace.reject_unknown_keys(d, cls, "schedule")
         kwargs = dict(d)
         for key in ("multistart_budget", "phase_budget", "total_budget"):
-            if key in kwargs and isinstance(kwargs[key], dict):
+            if key in kwargs:
                 kwargs[key] = Budget.from_dict(kwargs[key])
         return cls(**kwargs).validate()
 

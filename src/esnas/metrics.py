@@ -39,8 +39,9 @@ class EntropicConfig:
     def validate(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        if type(self.repeats) is not int or self.repeats < 1:  # a bool is no count
+            raise ValueError(f"repeats must be an int of at least 1, "
+                             f"got {self.repeats!r}")
         if self.input_low >= self.input_high:
             raise ValueError("input_low must be < input_high")
         if self.norm_axis not in ("across_channels", "per_channel"):
@@ -86,27 +87,21 @@ def normalize_activations(tap, cfg):
     if cfg.norm_axis == "across_channels":
         m = tap.max(axis=0, keepdims=True)
     else:
-        m = tap.max(axis=tuple(range(1, tap.ndim)), keepdims=True) \
-            if tap.ndim > 1 else tap.copy()
+        m = tap.max(axis=tuple(range(1, tap.ndim)), keepdims=True)
     if np.all(m > 0):
         return tap / m
     return np.divide(tap, m, out=np.zeros_like(tap), where=m > 0)
 
 
 def layer_entropy(normalized, epsilon):
-    """Mean of -a*ln(a+eps) over all elements, clamped to be non-negative."""
+    """Mean of -a*ln(a+eps) over all elements (eps > 0), clamped to be
+    non-negative."""
     a = np.asarray(normalized, dtype=float)
-    if epsilon > 0:
-        # -mean(a*ln(a+eps)) in one buffer; negating the mean negates the sum
-        t = a + epsilon
-        np.log(t, out=t)
-        t *= a
-        val = -float(np.mean(t))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(a > 0, -a * np.log(np.where(a > 0, a, 1.0)), 0.0)
-        val = float(np.mean(terms))
-    return max(val, 0.0)
+    # -mean(a*ln(a+eps)) in one buffer; negating the mean negates the sum
+    t = a + epsilon
+    np.log(t, out=t)
+    t *= a
+    return max(-float(np.mean(t)), 0.0)
 
 
 @netgraph.one_blas_thread()

@@ -9,13 +9,14 @@ seven kinds, evaluating the forward with activation taps (the ReLU nodes),
 and reverse-mode gradients of the output sum with respect to every
 parameter.
 
-Convolution kernels, forward and backward: a stride-1 depthwise conv is k
-batched matmuls over channels, each multiplying the rows of overlapping
-width tiles (at most 8 output columns) of the padded input by one small
-banded matrix built from a kernel row, the backward overlap-adding the
-tiles' gradients; a stride-1 1x1 conv is one matmul; every other conv (the
-strided stem and downsamplers, other groupings) is an im2col window view
-times the weights, one matmul per group.
+Convolution kernels, forward and backward, one for each conv a genome lays
+out: a stride-1 depthwise conv is k batched matmuls over channels, each
+multiplying the rows of overlapping width tiles (at most 8 output columns)
+of the padded input by one small banded matrix built from a kernel row, the
+backward overlap-adding the tiles' gradients; a stride-1 1x1 conv is one
+matmul; any other dense conv (the strided 3x3 stem and downsamplers) is one
+matmul of the weights and the im2col window columns.  Any other conv, grouped
+or strided depthwise, raises ValueError.
 
 The forward streams: it hands each activation tap to the caller's ``tap``
 function as the tap is produced and drops every value after its last
@@ -112,6 +113,7 @@ def _pad_hw(x, pad):
 
 
 def _im2col(x, k, stride, pad):
+    """The window columns of the padded input, (C*k*k, Ho*Wo), and Ho, Wo."""
     c, h, w = x.shape
     xp = _pad_hw(x, pad)
     ho, wo = _conv_out_hw(h, w, k, stride, pad)
@@ -119,7 +121,7 @@ def _im2col(x, k, stride, pad):
     # win: (C, Ho, Wo, k, k), a read-only view of the padded input
     win = as_strided(xp, (c, ho, wo, k, k),
                      (sc, sh * stride, sw * stride, sh, sw), writeable=False)
-    return win, ho, wo
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo), ho, wo
 
 
 def _col2im(gcols, c, h, w, k, stride, pad):
@@ -217,36 +219,32 @@ def _depthwise_backward(x, w, pad, gout):
 def _conv_path(node, cin):
     """The kernel a conv node takes: "depthwise" (banded matmuls, stride 1
     and one group per input and output channel), "pointwise" (one direct
-    matmul, a stride-1 dense 1x1) or "im2col" (every other conv)."""
+    matmul, a stride-1 dense 1x1) or "im2col" (any other dense conv).  Any
+    other conv raises ValueError."""
     a = node.attrs
-    if a["stride"] != 1:
-        return "im2col"
-    if a["groups"] == cin == node.params[0].shape[0]:
+    groups, stride, cout = a["groups"], a["stride"], node.params[0].shape[0]
+    if stride == 1 and groups == cin == cout:
         return "depthwise"
-    return "pointwise" if a["kernel"] == 1 and a["groups"] == 1 else "im2col"
+    if groups == 1:
+        return "pointwise" if stride == 1 and a["kernel"] == 1 else "im2col"
+    raise ValueError(f"no conv kernel for {groups} groups over {cin} input "
+                     f"and {cout} output channels at stride {stride}")
 
 
 def _conv2d_forward(x, node):
     a = node.attrs
-    k, stride, pad, groups = a["kernel"], a["stride"], a["padding"], a["groups"]
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
     path = _conv_path(node, cin)
     if path == "depthwise":
-        out = _depthwise_forward(x, w[:, 0], pad)
+        out = _depthwise_forward(x, w[:, 0], a["padding"])
     elif path == "pointwise":
         out = (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(
             (cout,) + x.shape[1:])
     else:
-        win, ho, wo = _im2col(x, k, stride, pad)
-        out = np.empty((cout, ho, wo))
-        cg, og = cin // groups, cout // groups
-        for g in range(groups):
-            cols = (win[g * cg:(g + 1) * cg]
-                    .transpose(0, 3, 4, 1, 2).reshape(cg * k * k, ho * wo))
-            out[g * og:(g + 1) * og] = (
-                w[g * og:(g + 1) * og].reshape(og, -1) @ cols).reshape(og, ho, wo)
+        cols, ho, wo = _im2col(x, a["kernel"], a["stride"], a["padding"])
+        out = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
     if a["bias"]:
         out += node.params[1][:, None, None]
     return out
@@ -254,7 +252,7 @@ def _conv2d_forward(x, node):
 
 def _conv2d_backward(x, node, gout):
     a = node.attrs
-    k, stride, pad, groups = a["kernel"], a["stride"], a["padding"], a["groups"]
+    k, stride, pad = a["kernel"], a["stride"], a["padding"]
     w = node.params[0]
     cout = w.shape[0]
     cin = x.shape[0]
@@ -267,18 +265,10 @@ def _conv2d_backward(x, node, gout):
         gw = (gflat @ x.reshape(cin, -1).T).reshape(w.shape)
         gx = (w.reshape(cout, cin).T @ gflat).reshape(x.shape)
     else:
-        win, ho, wo = _im2col(x, k, stride, pad)
-        gw = np.empty_like(w)
-        gcols = np.empty((cin, k, k, ho, wo))
-        cg, og = cin // groups, cout // groups
-        for g in range(groups):
-            cols = (win[g * cg:(g + 1) * cg]
-                    .transpose(0, 3, 4, 1, 2).reshape(cg * k * k, ho * wo))
-            gflat = gout[g * og:(g + 1) * og].reshape(og, -1)
-            gw[g * og:(g + 1) * og] = (gflat @ cols.T).reshape(og, cg, k, k)
-            gcols[g * cg:(g + 1) * cg] = (
-                w[g * og:(g + 1) * og].reshape(og, -1).T @ gflat
-            ).reshape(cg, k, k, ho, wo)
+        cols, ho, wo = _im2col(x, k, stride, pad)
+        gflat = gout.reshape(cout, -1)
+        gw = (gflat @ cols.T).reshape(w.shape)
+        gcols = (w.reshape(cout, -1).T @ gflat).reshape(cin, k, k, ho, wo)
         gx = _col2im(gcols, cin, x.shape[1], x.shape[2], k, stride, pad)
     pgrads = [gw]
     if a["bias"]:

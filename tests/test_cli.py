@@ -45,6 +45,16 @@ def search_config_file(tmp_path, tiny_config):
     return p
 
 
+@pytest.fixture
+def nothing_scored(monkeypatch):
+    """Fail the test when a candidate is counted or scored."""
+    def never(*args, **kwargs):
+        raise AssertionError("a candidate was counted or scored")
+
+    monkeypatch.setattr(archspace, "count_params", never)
+    monkeypatch.setattr(metrics, "score_genome", never)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -178,6 +188,16 @@ class TestStats:
         payload = json.loads(err)
         assert payload["error"]["message"] == "genome fails validation"
         assert payload["error"]["details"]
+
+    def test_non_object_config_exits_2(self, tmp_path, genome_file, capsys):
+        # dict([]) is {}, so a list once read as the default space
+        p = tmp_path / "space.json"
+        p.write_text("[]")
+        code, out, err = run(["stats", "--arch", str(genome_file),
+                              "--config", str(p)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["details"] == [
+            "space must be a JSON object, got []"]
 
 
 class TestSearch:
@@ -335,6 +355,38 @@ class TestSearch:
         assert json.loads(err)["error"]["details"] == [f"space: {problem}"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("section, value, problem", [
+        ("space", {"stem_channels": 16, "channel_domain": [[4, 8]]},
+         "stem_channels 16 exceeds channel_domain[0]'s least value 4"),
+        ("space", [], "space must be a JSON object, got []"),
+        ("schedule", [], "schedule must be a JSON object, got []"),
+        ("schedule", {"total_budget": []},
+         "budget must be a JSON object, got []"),
+        ("entropic", "x", "entropic must be a JSON object, got 'x'"),
+        ("entropic", {"repeats": 2.5},
+         "repeats must be an int of at least 1, got 2.5"),
+        ("entropic", {"repeats": True},
+         "repeats must be an int of at least 1, got True"),
+    ], ids=["stem_channels", "space-list", "schedule-list", "budget-list",
+            "entropic-string", "repeats-float", "repeats-bool"])
+    def test_bad_section_exits_2_naming_it_before_scoring(
+            self, tmp_path, search_config_file, section, value, problem,
+            nothing_scored, capsys):
+        # each of these once passed validation: the stem outgrew the first
+        # block's residual, a list read as the defaults, and repeats failed
+        # at the first scoring or ran once
+        cfg = json.loads(search_config_file.read_text())
+        cfg[section] = ({**cfg.get(section, {}), **value}
+                        if isinstance(value, dict) else value)
+        search_config_file.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        code, out, err = run(["search", "--config", str(search_config_file),
+                              "--budget-mode", "evals",
+                              "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["details"] == [f"{section}: {problem}"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("seeds_per_phase", 0), ("seeds_per_phase", 2.5),
         ("tournament_size", 0), ("population_size", 0),
@@ -344,13 +396,8 @@ class TestSearch:
         ("crossover_in_multistart", 1), ("crossover_in_multistart", "no"),
     ])
     def test_bad_schedule_value_exits_2_naming_it_before_scoring(
-            self, tmp_path, search_config_file, key, value, monkeypatch,
+            self, tmp_path, search_config_file, key, value, nothing_scored,
             capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("a candidate was counted or scored")
-
-        monkeypatch.setattr(archspace, "count_params", never)
-        monkeypatch.setattr(metrics, "score_genome", never)
         cfg = json.loads(search_config_file.read_text())
         cfg["schedule"][key] = value
         search_config_file.write_text(json.dumps(cfg))

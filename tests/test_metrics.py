@@ -114,11 +114,6 @@ class TestLayerEntropy:
         ref = sum(-x * math.log(x + eps) for x in a) / 64
         assert abs(layer_entropy(a, eps) - max(ref, 0.0)) < 1e-12
 
-    def test_zero_epsilon_defines_zero_term(self):
-        assert layer_entropy(np.array([0.0, 0.0]), 0.0) == 0.0
-        val = layer_entropy(np.array([0.0, 1.0 / math.e]), 0.0)
-        assert abs(val - 1.0 / (2.0 * math.e)) < 1e-12
-
     def test_upper_bound(self):
         for _ in range(20):
             a = rng.uniform(0, 1, 100)

@@ -154,7 +154,7 @@ def template_pool(seed):
     b = _Builder((c, 4, 4))
     x = b.conv(INPUT, c, c + 2, 3, stride=2)
     x = b.unary("relu", x)
-    x = b.conv(x, c + 2, c + 2, 3, stride=2, groups=c + 2, bias=False)
+    x = b.conv(x, c + 2, c, 3, stride=2, bias=False)
     return b, x
 
 
@@ -204,7 +204,7 @@ def make_graph(template, seed):
 CONV_CASES = [
     (1, 1, 1, 3, 5, 6, True), (3, 1, 1, 2, 4, 6, True),
     (3, 2, 1, 3, 3, 6, True), (3, 1, 4, 4, 4, 6, True),
-    (5, 2, 2, 4, 6, 6, True),
+    (5, 2, 1, 4, 6, 6, True),
     (1, 1, 1, 3, 5, 6, False), (1, 1, 1, 4, 2, 1, True),
     (5, 1, 4, 4, 4, 6, True), (7, 1, 3, 3, 3, 6, True),
     (3, 1, 4, 4, 4, 6, False), (7, 1, 3, 3, 3, 6, False),
@@ -287,16 +287,16 @@ class TestForward:
 
 
 # the kernel each drawn path takes: banded depthwise, one direct matmul for
-# a stride-1 dense 1x1, im2col for the rest
+# a stride-1 dense 1x1, im2col for the other dense convs
 KERNEL_OF_PATH = {"depthwise": "depthwise", "pointwise": "pointwise",
-                  "strided": "im2col", "grouped": "im2col", "dense": "im2col"}
+                  "strided": "im2col", "dense": "im2col"}
 
 
 @st.composite
 def conv_shapes(draw, path):
     """(k, stride, groups, cin, cout, hw, bias) of a conv that takes the
-    given path: "depthwise", "pointwise", or im2col's "strided", "grouped"
-    or "dense".  Depthwise and pointwise maps reach 30 px, so that the
+    given path: "depthwise", "pointwise", or im2col's "strided" or "dense"
+    (one group).  Depthwise and pointwise maps reach 30 px, so that the
     depthwise kernel's width tiles (8 columns at most) come in several,
     with a zero-padded last tile."""
     k = draw(st.sampled_from([1, 3, 5, 7]))
@@ -309,12 +309,10 @@ def conv_shapes(draw, path):
         assume(cin * cout > 1)  # else it is depthwise
         return 1, 1, 1, cin, cout, draw(st.integers(1, 30)), bias
     stride = draw(st.integers(2, 3)) if path == "strided" else 1
-    groups = 1 if path == "dense" else draw(
-        st.integers(2 if path == "grouped" else 1, 3))
-    per_in, per_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    assume(stride > 1 or per_in * per_out > 1)  # else it is depthwise
-    assume(stride > 1 or groups > 1 or k > 1)  # else it is pointwise
-    return k, stride, groups, groups * per_in, groups * per_out, hw, bias
+    cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    assume(stride > 1 or cin * cout > 1)  # else it is depthwise
+    assume(stride > 1 or k > 1)  # else it is pointwise
+    return k, stride, 1, cin, cout, hw, bias
 
 
 class TestConvProperties:
@@ -348,6 +346,21 @@ class TestConvProperties:
         if bias:
             assert np.allclose(pgrads[1], gout.sum(axis=(1, 2)),
                                rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k,stride,groups,cin,cout", [
+        (3, 1, 2, 4, 6), (1, 1, 2, 4, 4), (3, 1, 4, 4, 8), (3, 2, 4, 4, 4),
+    ], ids=["grouped", "grouped-1x1", "widening-depthwise", "strided-depthwise"])
+    def test_conv_no_genome_lays_out_raises(self, k, stride, groups, cin, cout):
+        b = _Builder((cin, 6, 6))
+        g = Graph(b.nodes, b.input_shape, b.conv(
+            INPUT, cin, cout, k, stride=stride, groups=groups), [], b.shapes)
+        x = np.ones(g.input_shape)
+        msg = (f"no conv kernel for {groups} groups over {cin} input and "
+               f"{cout} output channels at stride {stride}")
+        with pytest.raises(ValueError, match=msg):
+            forward(g, x)
+        with pytest.raises(ValueError, match=msg):
+            netgraph._conv2d_backward(x, g.nodes[0], np.ones(g.out_shapes[0]))
 
 
 ENGINE_KINDS = {"conv2d", "relu", "scale", "matmul", "add", "zeropad",
@@ -518,7 +531,7 @@ class TestHomogeneity:
         x = b.unary("relu", x)
         x = b.conv(x, c, 2 * c, 1, bias=False)
         x = b.unary("relu", x)
-        x = b.conv(x, 2 * c, 2 * c, 3, stride=2, groups=2 * c, bias=False)
+        x = b.conv(x, 2 * c, 2 * c, 3, groups=2 * c, bias=False)
         g = Graph(b.nodes, b.input_shape, x,
                   [i for i, n in enumerate(b.nodes) if n.kind == "relu"],
                   b.shapes)
@@ -619,19 +632,34 @@ class TestBackward:
             rand_params(node, 70 + i)
         assert_grads_close(backward_param_grads(g)[1], fd_param_grads(g))
 
-    def test_scoring_graph_gradients(self, attn_config):
-        # the cheapest attn_config genome with an attention block, both FFN
-        # types and a channel-widening block (its residual pads)
+    @staticmethod
+    def genome_graph(attn_config):
+        """The cheapest attn_config genome with an attention block, both FFN
+        types and a channel-widening block (its residual pads), laid out
+        with its own signed weights."""
         from esnas.archspace import ArchGenome
         genome = ArchGenome(stages=[
             [FfnGene("ibn", 8, 3, 2)],
             [AttnGene("convnext", 16, 2, 2, 4), FfnGene("convnext", 16, 3, 2)]],
             config_ref=attn_config.ref())
-        g = prepare_for_scoring(build_graph(genome, attn_config, seed=0))
+        return build_graph(genome, attn_config, seed=0)
+
+    def test_scoring_graph_gradients(self, attn_config):
+        g = prepare_for_scoring(self.genome_graph(attn_config))
         assert {n.kind for n in g.nodes} == ENGINE_KINDS
         _, analytic = backward_param_grads(g)
         numeric = fd_param_grads(g)
         assert_grads_close(analytic, numeric)
+
+    def test_signed_genome_gradients(self, attn_config):
+        # prepared, every ReLU input is positive under the all-ones input;
+        # signed weights put ReLU inputs on both sides of zero, so that a
+        # ReLU backward that ignores its input's sign fails
+        g = self.genome_graph(attn_config)
+        vals = netgraph._forward_all(g, np.ones(g.input_shape))
+        assert any((vals[n.inputs[0]] < 0).any()
+                   for n in g.nodes if n.kind == "relu")
+        assert_grads_close(backward_param_grads(g)[1], fd_param_grads(g))
 
 
 class TestReinit:
