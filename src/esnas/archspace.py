@@ -391,3 +391,34 @@ def count_params(genome, config):
     from . import netgraph
 
     return netgraph.count_graph_params(netgraph.build_structure(genome, config))
+
+
+def least_params(config):
+    """The least parameter count of any genome of the space.
+
+    Every count grows with a block's channels, expansion, kernel, heads and
+    head_dim, so each stage's blocks take its least values of these (the
+    least channel values never fall from stage to stage).  With the channels
+    fixed, a block's count depends only on its own gene, so each block then
+    takes the cheaper of the FFN types and, in an attention stage, of the
+    two block kinds: an attention block's FFN has a 3x3 kernel, which can
+    make it the cheaper one when the least kernel is larger.
+    """
+    options = []
+    for si in range(config.num_stages):
+        ch, e = config.channel_domain[si][0], config.expansion_domain[0]
+        kinds = [FfnGene(t, ch, config.kernel_domain[0], e) for t in config.ffn_types]
+        if si + 1 in config.attention_stages:
+            kinds += [AttnGene(t, ch, e, config.heads_domain[0], config.head_dim_domain[0])
+                      for t in config.ffn_types]
+        options.append(kinds)
+    genome = ArchGenome(stages=[[kinds[0]] * config.blocks_per_stage[si]
+                                for si, kinds in enumerate(options)],
+                        config_ref=config.ref())
+    for si, bi, _ in list(genome.blocks()):
+        counts = []
+        for gene in options[si]:
+            genome.stages[si][bi] = gene
+            counts.append(count_params(genome, config))
+        genome.stages[si][bi] = options[si][counts.index(min(counts))]
+    return count_params(genome, config)

@@ -180,6 +180,11 @@ def cmd_search(args):
             if b.kind != "evaluations":
                 raise CliError("--budget-mode evals requires evaluation budgets",
                                [f"{b.kind} budget found"])
+    least = archspace.least_params(space)
+    if space.max_params < least:
+        raise CliError("invalid search configuration", [
+            f"space: max_params {space.max_params} is below {least}, the least "
+            f"parameter count of any genome in the space"])
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ManifestWriter("search", cfg, args.seed)

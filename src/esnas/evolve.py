@@ -5,6 +5,14 @@ independent populations, entropy-guided) followed by the main loop that
 alternates topology and size phases, each driven by its own metric
 (topology -> entropic score, size -> logsynflow).  Replacement is aging
 (FIFO): the evicted member is always the oldest, never the worst.
+
+Initial draws, phase refills and evolution steps are all proposal steps
+(``SearchEngine.proposal_step``): each charges one evaluation to its
+budget meters and advances ``step``, then scores, records and admits its
+genome, if any.  They differ only in how they draw a genome and in what
+they do with one over ``max_params``: an initial draw is retried, a refill
+mutant falls back to its parent's genome, and an evolution child is
+resampled, then the step is skipped.
 """
 
 from __future__ import annotations
@@ -65,9 +73,13 @@ class Budget:
 
     def validate(self):
         if self.kind not in ("wallclock_seconds", "evaluations"):
-            raise ValueError(f"unknown budget kind {self.kind!r}")
-        if self.amount <= 0:
-            raise ValueError("budget amount must be > 0")
+            raise ValueError(f"kind must be 'wallclock_seconds' or "
+                             f"'evaluations', got {self.kind!r}")
+        # an infinite or NaN amount never runs out; a bool is no number
+        if type(self.amount) not in (int, float) \
+                or not 0 < self.amount < math.inf:
+            raise ValueError(f"amount must be a finite number > 0, "
+                             f"got {self.amount!r}")
         return self
 
     @classmethod
@@ -96,6 +108,9 @@ class BudgetMeter:
         return time.monotonic() - self.t0 >= self.budget.amount
 
 
+BUDGET_KEYS = ("multistart_budget", "phase_budget", "total_budget")
+
+
 @dataclass
 class SearchSchedule:
     multistart_populations: int = 5
@@ -117,8 +132,11 @@ class SearchSchedule:
     scoring_seed: int = 0
 
     def validate(self):
-        for b in (self.multistart_budget, self.phase_budget, self.total_budget):
-            b.validate()
+        for key in BUDGET_KEYS:
+            try:
+                getattr(self, key).validate()
+            except ValueError as e:
+                raise ValueError(f"{key}.{e}") from None
         # bad counts crash the search, or skip every step, after scoring began
         for key, least in (
                 ("multistart_populations", 1), ("multistart_population_size", 1),
@@ -136,10 +154,11 @@ class SearchSchedule:
             raise ValueError("multistart tournament size exceeds population size")
         if self.tournament_size > self.population_size:
             raise ValueError("tournament size exceeds population size")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError("crossover_prob must be in [0, 1]")
-        budgets = (self.multistart_budget, self.phase_budget, self.total_budget)
-        if all(b.kind == "evaluations" for b in budgets):
+        if type(self.crossover_prob) not in (int, float) \
+                or not 0 <= self.crossover_prob <= 1:
+            raise ValueError(f"crossover_prob must be a number in [0, 1], "
+                             f"got {self.crossover_prob!r}")
+        if all(getattr(self, key).kind == "evaluations" for key in BUDGET_KEYS):
             # each multi-start population but the last spends its whole
             # multistart_budget; the last needs one evaluation to exist
             need = ((self.multistart_populations - 1)
@@ -157,9 +176,10 @@ class SearchSchedule:
     def from_dict(cls, d):
         archspace.reject_unknown_keys(d, cls, "schedule")
         kwargs = dict(d)
-        for key in ("multistart_budget", "phase_budget", "total_budget"):
+        for key in BUDGET_KEYS:
             if key in kwargs:
-                kwargs[key] = Budget.from_dict(kwargs[key])
+                archspace.reject_unknown_keys(kwargs[key], Budget, key)
+                kwargs[key] = Budget(**kwargs[key])
         return cls(**kwargs).validate()
 
     def to_dict(self):
@@ -222,12 +242,6 @@ class SearchEngine:
             self.memo[key] = [archspace.count_params(genome, self.config), None]
         return self.memo[key][0] <= self.config.max_params
 
-    def make_individual(self, genome):
-        ind = Individual(genome=genome, report=self.score(genome),
-                         birth_step=self.step)
-        self.evaluated.append(ind)
-        return ind
-
     def _seed(self):
         return int(self.rng.integers(2**63))
 
@@ -245,13 +259,41 @@ class SearchEngine:
             f"could not draw a genome under max_params={self.config.max_params} "
             f"in {tries} tries")
 
+    def proposal_step(self, pop, meters, genome):
+        """Charge one evaluation to every meter and advance ``step``; then,
+        unless ``genome`` is None (a skipped step), score it, record it in
+        ``evaluated`` and admit it to ``pop``.  Returns the admitted
+        individual, or None."""
+        for m in meters:
+            m.consume()
+        self.step += 1
+        if genome is None:
+            return None
+        ind = Individual(genome=genome, report=self.score(genome),
+                         birth_step=self.step)
+        self.evaluated.append(ind)
+        pop.admit(ind)
+        return ind
+
     def init_population(self, size, meters):
         pop = Population(capacity=size)
         while len(pop) < size and not any(m.exhausted() for m in meters):
-            for m in meters:
-                m.consume()
-            self.step += 1
-            pop.admit(self.make_individual(self.random_feasible_genome()))
+            self.proposal_step(pop, meters, self.random_feasible_genome())
+        return pop
+
+    def refill_population(self, seeds, phase, meters):
+        """Build a phase population from seed individuals plus their mutants;
+        an infeasible mutant is replaced by its parent's genome."""
+        pop = Population(capacity=self.schedule.population_size)
+        for ind in seeds:
+            pop.admit(ind)
+        while len(pop) < self.schedule.population_size \
+                and not any(m.exhausted() for m in meters):
+            parent = seeds[int(self.rng.integers(len(seeds)))]
+            cand = archspace.mutate(parent.genome, self.config, phase,
+                                    self.schedule.mutations_per_step, self._seed())
+            self.proposal_step(pop, meters,
+                               cand if self.feasible(cand) else parent.genome)
         return pop
 
     # -- evolution -------------------------------------------------------
@@ -263,9 +305,6 @@ class SearchEngine:
         sched = self.schedule
         metric_name = METRIC_FOR_PHASE[phase]
         tournament_size = min(tournament_size, len(pop))
-        for m in meters:
-            m.consume()
-        self.step += 1
         child = None
         for _ in range(sched.infeasible_retries + 1):
             use_crossover = (crossover_allowed
@@ -284,19 +323,17 @@ class SearchEngine:
             if self.feasible(cand):
                 child = cand
                 break
-        if child is None:
+        ind = self.proposal_step(pop, meters, child)
+        if ind is None:
             self.log("step_skipped", phase=phase, reason="infeasible")
             return
-        ind = self.make_individual(child)
-        pop.admit(ind)
         self.log("step", phase=phase, operator="crossover" if use_crossover
                  else "mutation", params=ind.report.params,
                  macs=ind.report.macs, entropic=ind.report.entropic,
                  logsynflow=ind.report.logsynflow)
 
-    def run_phase(self, pop, phase, tournament_size, phase_meter,
+    def run_phase(self, pop, phase, tournament_size, meters,
                   crossover_allowed=True):
-        meters = [phase_meter, self.total_meter]
         while not any(m.exhausted() for m in meters):
             self.evolution_step(pop, phase, tournament_size, meters,
                                 crossover_allowed=crossover_allowed)
@@ -309,37 +346,18 @@ class SearchEngine:
         sched = self.schedule
         seeds = []
         for p in range(sched.multistart_populations):
-            meter = BudgetMeter(sched.multistart_budget)
-            pop = self.init_population(sched.multistart_population_size,
-                                       [meter, self.total_meter])
+            meters = [BudgetMeter(sched.multistart_budget), self.total_meter]
+            pop = self.init_population(sched.multistart_population_size, meters)
             if not pop.members:
                 raise RuntimeError("multi-start budget too small to seed a population")
             self.run_phase(pop, PHASE_TOPOLOGY, sched.multistart_tournament_size,
-                           meter, crossover_allowed=sched.crossover_in_multistart)
+                           meters, crossover_allowed=sched.crossover_in_multistart)
             best = pop.best("entropic")
             seeds.append(best)
             self.log("multistart_done", population=p,
                      entropic=best.report.entropic,
                      params=best.report.params)
         return seeds
-
-    def refill_population(self, seeds, phase, meters):
-        """Build a phase population from seed individuals plus their mutants."""
-        pop = Population(capacity=self.schedule.population_size)
-        for ind in seeds:
-            pop.admit(ind)
-        while len(pop) < self.schedule.population_size \
-                and not any(m.exhausted() for m in meters):
-            for m in meters:
-                m.consume()
-            self.step += 1
-            parent = seeds[int(self.rng.integers(len(seeds)))]
-            cand = archspace.mutate(parent.genome, self.config, phase,
-                                    self.schedule.mutations_per_step, self._seed())
-            if not self.feasible(cand):
-                cand = parent.genome
-            pop.admit(self.make_individual(cand))
-        return pop
 
     def cyclic_search(self):
         """Multi-start seeding, then alternating topology/size phases."""
@@ -348,10 +366,9 @@ class SearchEngine:
         phase = PHASE_TOPOLOGY
         last_phase = phase
         while not self.total_meter.exhausted():
-            phase_meter = BudgetMeter(sched.phase_budget)
-            meters = [phase_meter, self.total_meter]
+            meters = [BudgetMeter(sched.phase_budget), self.total_meter]
             pop = self.refill_population(seeds, phase, meters)
-            self.run_phase(pop, phase, sched.tournament_size, phase_meter)
+            self.run_phase(pop, phase, sched.tournament_size, meters)
             metric_name = METRIC_FOR_PHASE[phase]
             top = pop.top(metric_name, sched.seeds_per_phase)
             self.log("phase_done", phase=phase,

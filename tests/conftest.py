@@ -93,17 +93,22 @@ def singleton_config():
 
 
 def enumerate_space(config):
-    """Exhaustively enumerate every valid genome of a small conv-only space."""
+    """Exhaustively enumerate every valid genome of a small space."""
     per_block = []
     for si in range(config.num_stages):
-        for _ in range(config.blocks_per_stage[si]):
-            per_block.append([
-                archspace.FfnGene(ft, ch, k, e)
-                for ft in config.ffn_types
-                for ch in config.channel_domain[si]
-                for k in config.kernel_domain
-                for e in config.expansion_domain
-            ])
+        genes = [archspace.FfnGene(ft, ch, k, e)
+                 for ft in config.ffn_types
+                 for ch in config.channel_domain[si]
+                 for k in config.kernel_domain
+                 for e in config.expansion_domain]
+        if si + 1 in config.attention_stages:
+            genes += [archspace.AttnGene(ft, ch, e, h, d)
+                      for ft in config.ffn_types
+                      for ch in config.channel_domain[si]
+                      for e in config.expansion_domain
+                      for h in config.heads_domain
+                      for d in config.head_dim_domain]
+        per_block += [genes] * config.blocks_per_stage[si]
     cref = config.ref()
     genomes = []
     for combo in itertools.product(*per_block):

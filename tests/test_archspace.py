@@ -26,7 +26,7 @@ from esnas.archspace import (
     validate,
 )
 
-from conftest import conv1x1_graph, genome_norm_params
+from conftest import conv1x1_graph, enumerate_space, genome_norm_params
 
 
 def count_macs(genome, config):
@@ -407,6 +407,21 @@ class TestCounting:
         g2 = netgraph.build_graph(g, attn_config, seed=2)
         assert len(g1.nodes) == len(g2.nodes)
         assert g1.activation_taps == g2.activation_taps
+
+    def test_least_params_is_the_least_over_the_space(self, tiny_config,
+                                                      attn_config, singleton_config):
+        # the last space's least genome has attention blocks: their FFN's
+        # 3x3 kernel undercuts a conv block's least kernel of 5
+        small_attn = replace(attn_config, num_stages=1, blocks_per_stage=[2],
+                             attention_stages={1}, channel_domain=[[8, 16]],
+                             kernel_domain=[5, 7], expansion_domain=[2],
+                             heads_domain=[1, 2], head_dim_domain=[1, 2]).validate()
+        for cfg, least in ((tiny_config, 1160), (singleton_config, 928),
+                           (small_attn, 1246)):
+            counts = {g.to_json(): archspace.count_params(g, cfg)
+                      for g in enumerate_space(cfg)}
+            assert archspace.least_params(cfg) == min(counts.values()) == least
+        assert any('"type":"attn"' in g and n == 1246 for g, n in counts.items())
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from esnas import archspace, bench, cli, metrics, netgraph
+from esnas import archspace, bench, cli, evolve, metrics, netgraph
 from esnas.archspace import random_genome
 
 
@@ -361,7 +362,7 @@ class TestSearch:
         ("space", [], "space must be a JSON object, got []"),
         ("schedule", [], "schedule must be a JSON object, got []"),
         ("schedule", {"total_budget": []},
-         "budget must be a JSON object, got []"),
+         "total_budget must be a JSON object, got []"),
         ("entropic", "x", "entropic must be a JSON object, got 'x'"),
         ("entropic", {"repeats": 2.5},
          "repeats must be an int of at least 1, got 2.5"),
@@ -394,12 +395,20 @@ class TestSearch:
         ("multistart_tournament_size", 0), ("mutations_per_step", -1),
         ("mutations_per_step", 0), ("infeasible_retries", -1),
         ("crossover_in_multistart", 1), ("crossover_in_multistart", "no"),
+        ("total_budget.amount", math.inf), ("total_budget.amount", math.nan),
+        ("phase_budget.amount", True), ("multistart_budget.amount", "x"),
+        ("total_budget.kind", "minutes"), ("total_budget", []),
+        ("crossover_prob", "x"), ("crossover_prob", math.nan),
     ])
     def test_bad_schedule_value_exits_2_naming_it_before_scoring(
             self, tmp_path, search_config_file, key, value, nothing_scored,
             capsys):
+        # an infinite amount once exited 1, a NaN one never ran out, true
+        # read as 1 and a string amount or crossover_prob named no key
         cfg = json.loads(search_config_file.read_text())
-        cfg["schedule"][key] = value
+        *budget, leaf = key.split(".")  # a budget's field reads budget.field
+        parent = cfg["schedule"][budget[0]] if budget else cfg["schedule"]
+        parent[leaf] = value
         search_config_file.write_text(json.dumps(cfg))
         out_dir = tmp_path / "run"
         code, out, err = run(["search", "--config", str(search_config_file),
@@ -410,6 +419,130 @@ class TestSearch:
         assert detail.startswith(f"schedule: {key} must be ")
         assert detail.endswith(f"got {value!r}")
         assert not out_dir.exists()
+
+    def test_max_params_below_every_genome_exits_2(
+            self, tmp_path, search_config_file, monkeypatch, capsys):
+        # no genome fits: this once exited 1 after 200 draws of a genome
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was scored")
+
+        monkeypatch.setattr(metrics, "score_genome", never)
+        cfg = json.loads(search_config_file.read_text())
+        cfg["space"]["max_params"] = 1159  # tiny_config's least count is 1,160
+        search_config_file.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        code, out, err = run(["search", "--config", str(search_config_file),
+                              "--budget-mode", "evals",
+                              "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["details"] == [
+            "space: max_params 1159 is below 1160, the least parameter count "
+            "of any genome in the space"]
+        assert not out_dir.exists()
+
+    # The search of test_trajectory_is_pinned: per history event its values
+    # other than scores, in order; then every score of the history and of
+    # best_report.json, in order.
+    PINNED_EVENTS = [
+        ("step", 4, "topology", "crossover", 5720, 38400),
+        ("step", 5, "topology", "crossover", 5720, 38400),
+        ("multistart_done", 5, 0, 5720),
+        ("step", 9, "topology", "crossover", 4960, 39008),
+        ("step", 10, "topology", "crossover", 4960, 39008),
+        ("multistart_done", 10, 1, 4960),
+        ("step", 15, "topology", "crossover", 5216, 40512),
+        ("step", 16, "topology", "mutation", 4832, 34144),
+        ("step", 17, "topology", "crossover", 4840, 35264),
+        ("step", 18, "topology", "mutation", 5192, 37248),
+        ("phase_done", 18, "topology", 4840),
+        ("step", 23, "size", "crossover", 5720, 38400),
+        ("step", 24, "size", "mutation", 5624, 37920),
+        ("step", 25, "size", "mutation", 5720, 38400),
+        ("step_skipped", 26, "size", "infeasible"),
+        ("phase_done", 26, "size", 5720),
+        ("phase_done", 30, "topology", 5720),
+        ("search_done", 30, "entropic", 4960),
+    ]
+    PINNED_SCORES = [
+        1.4632611304285021, 24.20548008464655, 1.4632611304285021,
+        24.20548008464655, 1.4632611304285021, 1.5502972636679262,
+        21.905148084407305, 1.5502972636679262, 21.905148084407305,
+        1.5502972636679262, 1.4476714425529063, 23.02559907971254,
+        1.258092317937103, 16.75793242673575, 1.5407951602301795,
+        22.82028680251029, 1.2069978135509236, 23.270573387720766,
+        1.5407951602301795, 22.82028680251029, 1.4632611304285021,
+        24.20548008464655, 1.5066917032641232, 19.025648941717563,
+        1.4632611304285021, 24.20548008464655, 1.4632611304285021,
+        24.20548008464655, 1.4632611304285021, 24.20548008464655,
+        1.5502972636679262, 21.905148084407305, 1.5502972636679262,
+        1.5434398158334879, 1.611567252595993, 1.4958847225742975,
+        21.905148084407305,
+    ]
+    PINNED_GENOME = (
+        '{"schema_version":1,"config_ref":"8cc8d3c1af68","stages":[['
+        '{"type":"ffn","ffn_type":"ibn","out_channels":8,"kernel_size":5,"expansion_ratio":3}],['
+        '{"type":"ffn","ffn_type":"ibn","out_channels":16,"kernel_size":3,"expansion_ratio":3},'
+        '{"type":"ffn","ffn_type":"ibn","out_channels":24,"kernel_size":3,"expansion_ratio":2}'
+        ']]}\n')
+
+    def test_trajectory_is_pinned(self, tmp_path, attn_config, monkeypatch,
+                                  capsys):
+        """A change to the search's draw order changes this run: initial,
+        refill and evolution steps, crossover, skipped steps and refill
+        fallbacks to the parent's genome all occur in it."""
+        fallbacks, refilling = [], []
+        refill, feasible = (evolve.SearchEngine.refill_population,
+                            evolve.SearchEngine.feasible)
+
+        def recording_refill(self, *args):
+            refilling.append(True)
+            try:
+                return refill(self, *args)
+            finally:
+                refilling.pop()
+
+        def recording_feasible(self, genome):
+            ok = feasible(self, genome)
+            if refilling and not ok:
+                fallbacks.append(genome)
+            return ok
+
+        monkeypatch.setattr(evolve.SearchEngine, "refill_population",
+                            recording_refill)
+        monkeypatch.setattr(evolve.SearchEngine, "feasible", recording_feasible)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "space": {**attn_config.to_dict(), "max_params": 6000},
+            "schedule": {
+                "multistart_populations": 2, "multistart_population_size": 3,
+                "multistart_tournament_size": 2, "population_size": 6,
+                "tournament_size": 2, "seeds_per_phase": 2,
+                "infeasible_retries": 0,
+                "multistart_budget": {"kind": "evaluations", "amount": 5},
+                "phase_budget": {"kind": "evaluations", "amount": 8},
+                "total_budget": {"kind": "evaluations", "amount": 30}}}))
+        out_dir = tmp_path / "run"
+        code, _, err = run(["search", "--budget-mode", "evals", "--seed", "0",
+                            "--config", str(p), "--out", str(out_dir)], capsys)
+        assert code == 0, err
+
+        def leaves(obj):
+            if isinstance(obj, (dict, list)):
+                return [x for v in (obj.values() if isinstance(obj, dict) else obj)
+                        for x in leaves(v)]
+            return [obj]
+
+        history = [json.loads(line) for line in
+                   (out_dir / "history.ndjson").read_text().splitlines()]
+        report = json.loads((out_dir / "best_report.json").read_text())
+        assert [tuple(v for v in leaves(ev) if type(v) is not float)
+                for ev in history] == self.PINNED_EVENTS
+        scores = [v for v in leaves([history, report]) if type(v) is float]
+        assert scores == pytest.approx(self.PINNED_SCORES, rel=1e-12, abs=0)
+        assert (report["params"], report["macs"], report["seeds"]) == (
+            4960, 39008, [1973613244, 3782502437, 4146694914, 2361480034])
+        assert (out_dir / "best_genome.json").read_text() == self.PINNED_GENOME
+        assert len(fallbacks) == 3  # refill mutants replaced by their parent
 
 
 class TestCorrelate:

@@ -71,6 +71,12 @@ class TestBudget:
             Budget("minutes", 5).validate()
         with pytest.raises(ValueError):
             Budget("evaluations", 0).validate()
+        # an infinite or NaN budget never runs out, wall-clock or not
+        for kind in ("evaluations", "wallclock_seconds"):
+            for amount in (math.inf, math.nan, True, "x"):
+                with pytest.raises(ValueError, match=f"amount must be a finite "
+                                                     f"number > 0, got {amount!r}$"):
+                    Budget(kind, amount).validate()
 
     def test_evaluation_meter(self):
         m = BudgetMeter(Budget("evaluations", 3))
