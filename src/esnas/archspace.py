@@ -11,9 +11,13 @@ random_genome, validate, mutate and crossover all read them from there.
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,20 +42,141 @@ GENE_FIELDS = {
 
 
 class ConfigError(ValueError):
-    """Raised for an internally inconsistent SearchSpaceConfig."""
+    """Raised for a config section, key or value that breaks its declared
+    type or limits or a cross-field rule; the message names the key."""
 
 
-def reject_unknown_keys(d, cls, section):
-    """Raise ConfigError naming every key of ``d`` that is not a field of the
-    dataclass ``cls``, so a misspelt config key fails instead of being
-    dropped for its default; ``d`` must be a dict, a JSON object."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
-    known = list(cls.__dataclass_fields__)
-    unknown = [k for k in d if k not in known]
-    if unknown:
-        raise ConfigError(f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
-                          f"known keys: {', '.join(known)}")
+def bounded(default=MISSING, *, least=None, most=None, above=None,
+            choices=None, increasing=False):
+    """A config field's default and the limits ``ConfigSection.validate``
+    checks: ``least``/``most`` bound a number, or each number of a list,
+    inclusively and ``above`` exclusively; ``choices`` are its allowed
+    values, or each item's; an ``increasing`` list of numbers (each list of
+    a list of lists) strictly increases.  A list default is copied."""
+    limits = dict(least=least, most=most, above=above, choices=choices,
+                  increasing=increasing)
+    if isinstance(default, list):
+        return field(default_factory=lambda: copy.deepcopy(default), metadata=limits)
+    return field(default=default, metadata=limits)
+
+
+@functools.cache
+def _declared(cls):
+    """(name, type, limits) of each field of a config class; resolving the
+    annotations costs ~100 us, so it is done once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata) for f in fields(cls))
+
+
+def _fits(tp, v):
+    """Whether ``v`` is a ``tp``: a number is a finite int or float, not a bool."""
+    return (type(v) is tp if tp is not float
+            else type(v) in (int, float) and math.isfinite(v))
+
+
+def _within(v, lim):
+    return ((lim.get("least") is None or v >= lim["least"])
+            and (lim.get("most") is None or v <= lim["most"])
+            and (lim.get("above") is None or v > lim["above"])
+            and (not lim.get("choices") or v in lim["choices"]))
+
+
+def _requirement(tp, lim):
+    """What a single value of type ``tp`` within ``lim`` is, in words."""
+    if lim.get("choices"):
+        return " or ".join(map(repr, lim["choices"]))
+    if lim.get("most") is not None:
+        return f"a number in [{lim['least']}, {lim['most']}]"
+    what = {bool: "true or false", int: "an int", float: "a finite number",
+            str: "a string"}.get(tp, "a JSON object")
+    if lim.get("least") is not None:
+        return f"{what} of at least {lim['least']}"
+    return what if lim.get("above") is None else f"{what} > {lim['above']}"
+
+
+def _problems(name, tp, lim, value):
+    """What is wrong with ``value`` as the field ``name`` of type ``tp``
+    within the limits ``lim``; a nested section's fields read name.field."""
+    origin = typing.get_origin(tp)
+    if origin is None:
+        if type(value) is tp and isinstance(value, ConfigSection):
+            return _section_problems(value, f"{name}.")
+        if _fits(tp, value) and _within(value, lim):
+            return []
+        return [f"{name} must be {_requirement(tp, lim)}, got {value!r}"]
+    if type(value) not in (list, origin):  # JSON gives a set field as a list
+        return [f"{name} must be a list, got {value!r}"]
+    (item,) = typing.get_args(tp)
+    if typing.get_origin(item):  # a list of lists: each is checked
+        return [p for i, v in enumerate(value)
+                for p in _problems(f"{name}[{i}]", item, lim, v)]
+    if not value and origin is list:
+        return [f"{name} is empty"]
+    if not all(_fits(item, v) for v in value):
+        kind = "integers" if item is int else "strings"
+        return [f"{name} must hold {kind}: {value}"]
+    if not all(_within(v, lim) for v in value):
+        allowed = (f">= {lim['least']}" if lim.get("least") is not None
+                   else f"among {list(lim['choices'])}")
+        return [f"{name} must hold values {allowed}: {value}"]
+    if lim.get("increasing") and any(b <= a for a, b in zip(value, value[1:])):
+        return [f"{name} is not strictly increasing: {value}"]
+    return []
+
+
+def _section_problems(obj, prefix=""):
+    """The problems of each field of a config section, named prefix + field."""
+    return [p for name, tp, lim in _declared(type(obj))
+            for p in _problems(prefix + name, tp, lim, getattr(obj, name))]
+
+
+class ConfigSection:
+    """Base of the config dataclasses.  Each field declares its type by its
+    annotation and its limits by ``bounded``; ``validate`` checks every
+    field against them (a nested section's too), and a subclass extends it
+    with its cross-field rules.  ``section`` names the JSON object."""
+
+    def validate(self):
+        problems = _section_problems(self)
+        if problems:
+            raise ConfigError("; ".join(problems))
+        return self
+
+    def to_dict(self):
+        """The JSON object, a set field as a sorted list; the field order is
+        the key order that ``ref`` hashes."""
+        return {k: sorted(v) if isinstance(v, set) else v
+                for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, d):
+        """Build and validate from a JSON object; a set field takes a list."""
+        obj = cls._parse(d, cls.section).validate()
+        for name, tp, _ in _declared(cls):
+            if typing.get_origin(tp) is set:
+                setattr(obj, name, set(getattr(obj, name)))
+        return obj
+
+    @classmethod
+    def _parse(cls, d, section):
+        """An unvalidated instance from ``section``'s JSON object ``d``,
+        with each nested section parsed under its key; a misspelt key fails
+        rather than being dropped for its default."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{section} must be a JSON object, got {d!r}")
+        known = [name for name, _, _ in _declared(cls)]
+        unknown = [k for k in d if k not in known]
+        if unknown:
+            raise ConfigError(f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
+                              f"known keys: {', '.join(known)}")
+        missing = [f.name for f in fields(cls) if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"{section} is missing key(s) {', '.join(map(repr, missing))}")
+        nested = {name: tp for name, tp, _ in _declared(cls)
+                  if typing.get_origin(tp) is None and issubclass(tp, ConfigSection)}
+        return cls(**{k: nested[k]._parse(v, k) if k in nested else v
+                      for k, v in d.items()})
 
 
 class InvalidGenomeError(ValueError):
@@ -66,7 +191,7 @@ class InvalidGenomeError(ValueError):
 
 
 @dataclass
-class SearchSpaceConfig:
+class SearchSpaceConfig(ConfigSection):
     """Domains and fixed structure of the architecture space.
 
     channel_domain holds one ordered value list per stage.  Overlapping
@@ -75,119 +200,63 @@ class SearchSpaceConfig:
     multiset) can never move a value into a stage that does not allow it.
     """
 
-    num_stages: int = 4
-    blocks_per_stage: list[int] = field(default_factory=lambda: [2, 2, 6, 4])
+    num_stages: int = bounded(4, least=1)
+    blocks_per_stage: list[int] = bounded([2, 2, 6, 4], least=1)
     attention_stages: set[int] = field(default_factory=lambda: {3, 4})  # 1-based
-    stem_channels: int = 16
-    channel_domain: list[list[int]] = field(
-        default_factory=lambda: [
-            [16, 24, 32],
-            [32, 48, 64],
-            [64, 96, 128],
-            [128, 176, 224],
-        ]
-    )
-    kernel_domain: list[int] = field(default_factory=lambda: [3, 5, 7])
-    expansion_domain: list[int] = field(default_factory=lambda: [2, 3, 4])
-    heads_domain: list[int] = field(default_factory=lambda: [2, 4, 8])
-    head_dim_domain: list[int] = field(default_factory=lambda: [8, 16, 32])
-    ffn_types: list[str] = field(default_factory=lambda: [FFN_IBN, FFN_CONVNEXT])
-    attention_probability: float = 0.5
-    input_resolution: int = 224
-    input_channels: int = 3
-    max_params: int = 3_500_000
+    stem_channels: int = bounded(16, least=1)
+    channel_domain: list[list[int]] = bounded(
+        [[16, 24, 32], [32, 48, 64], [64, 96, 128], [128, 176, 224]],
+        least=1, increasing=True)
+    # genes take domain values as they are, so domains hold ints
+    kernel_domain: list[int] = bounded([3, 5, 7], least=3, increasing=True)
+    expansion_domain: list[int] = bounded([2, 3, 4], least=1, increasing=True)
+    heads_domain: list[int] = bounded([2, 4, 8], least=1, increasing=True)
+    head_dim_domain: list[int] = bounded([8, 16, 32], least=1, increasing=True)
+    ffn_types: list[str] = bounded([FFN_IBN, FFN_CONVNEXT],
+                                   choices=(FFN_IBN, FFN_CONVNEXT))
+    attention_probability: float = bounded(0.5, least=0, most=1)
+    input_resolution: int = bounded(224, least=4)
+    input_channels: int = bounded(3, least=1)
+    max_params: int = bounded(3_500_000, least=1)
+
+    section = "space"
 
     def validate(self):
+        super().validate()
         problems = []
-        if self.num_stages < 1:
-            problems.append("num_stages must be >= 1")
         if len(self.blocks_per_stage) != self.num_stages:
             problems.append(
                 f"blocks_per_stage has {len(self.blocks_per_stage)} entries, "
-                f"expected {self.num_stages}"
+                f"expected num_stages {self.num_stages}"
             )
-        if any(b < 1 for b in self.blocks_per_stage):
-            problems.append("blocks_per_stage entries must be >= 1")
         if len(self.channel_domain) != self.num_stages:
             problems.append(
                 f"channel_domain has {len(self.channel_domain)} stage lists, "
-                f"expected {self.num_stages}"
+                f"expected num_stages {self.num_stages}"
             )
-        reported = set()  # domains left out of the checks below
-        for name, dom in [
-            ("kernel_domain", self.kernel_domain),
-            ("expansion_domain", self.expansion_domain),
-            ("heads_domain", self.heads_domain),
-            ("head_dim_domain", self.head_dim_domain),
-            *[(f"channel_domain[{i}]", d) for i, d in enumerate(self.channel_domain)],
-        ]:
-            if not dom:
-                problem = f"{name} is empty"
-            elif any(type(v) is not int for v in dom):  # genes take domain values as is
-                problem = f"{name} must hold integers: {dom}"
-            elif min(dom) < 1:
-                problem = f"{name} must hold values >= 1: {dom}"
-            elif any(b <= a for a, b in zip(dom, dom[1:])):
-                problem = f"{name} is not strictly increasing: {dom}"
-            else:
-                continue
-            problems.append(problem)
-            reported.add(name)
-        if "kernel_domain" not in reported and any(
-                k < 3 or k % 2 == 0 for k in self.kernel_domain):
+        if any(k % 2 == 0 for k in self.kernel_domain):
             problems.append(f"kernel_domain must hold odd values >= 3: {self.kernel_domain}")
         for s in self.attention_stages:
             if not 1 <= s <= self.num_stages:
-                problems.append(f"attention stage {s} out of range 1..{self.num_stages}")
-        if not self.ffn_types or any(t not in (FFN_IBN, FFN_CONVNEXT) for t in self.ffn_types):
-            problems.append(f"ffn_types must be a non-empty subset of "
-                            f"['{FFN_IBN}', '{FFN_CONVNEXT}']: {self.ffn_types}")
-        if not 0.0 <= self.attention_probability <= 1.0:
-            problems.append("attention_probability must be in [0, 1]")
-        if self.input_resolution < 4:
-            problems.append("input_resolution must be >= 4")
-        if self.stem_channels < 1 or self.input_channels < 1:
-            problems.append("stem_channels and input_channels must be >= 1")
-        if self.max_params < 1:
-            problems.append("max_params must be >= 1")
+                problems.append(f"attention_stages value {s} is out of range "
+                                f"1..{self.num_stages}")
         # Stage ranges that never fall and a shared grid on domain overlaps keep
         # sort-repair closed over the space.
-        chans = [[] if f"channel_domain[{i}]" in reported else d
-                 for i, d in enumerate(self.channel_domain)]
-        if all(chans) and any(b[0] < a[0] or b[-1] < a[-1] for a, b in zip(chans, chans[1:])):
+        chans = self.channel_domain
+        if any(b[0] < a[0] or b[-1] < a[-1] for a, b in zip(chans, chans[1:])):
             problems.append(f"channel_domain stage ranges must not fall from one "
                             f"stage to the next: {chans}")
-        if chans and chans[0] and self.stem_channels > chans[0][0]:
+        if chans and self.stem_channels > chans[0][0]:
             # a residual pads its input's channels up, never down
             problems.append(f"stem_channels {self.stem_channels} exceeds "
                             f"channel_domain[0]'s least value {chans[0][0]}")
-        for i, di in enumerate(chans):
-            for j, dj in enumerate(chans):
-                if i == j or not di or not dj:
-                    continue
-                for v in di:
-                    if dj[0] <= v <= dj[-1] and v not in dj:
-                        problems.append(
-                            f"channel value {v} of stage {i + 1} falls inside the "
-                            f"range of stage {j + 1} but is not in its domain"
-                        )
+        problems += [f"channel_domain value {v} of stage {i + 1} falls inside the "
+                     f"range of stage {j + 1} but is not in its domain"
+                     for i, di in enumerate(chans) for j, dj in enumerate(chans)
+                     for v in di if i != j and dj[0] <= v <= dj[-1] and v not in dj]
         if problems:
             raise ConfigError("; ".join(problems))
         return self
-
-    def to_dict(self):
-        # field order is the key order that ref() hashes
-        d = asdict(self)
-        d["attention_stages"] = sorted(self.attention_stages)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        reject_unknown_keys(d, cls, "space")
-        kwargs = dict(d)
-        if "attention_stages" in kwargs:
-            kwargs["attention_stages"] = set(kwargs["attention_stages"])
-        return cls(**kwargs).validate()
 
     def ref(self):
         """Stable short identifier of this configuration."""

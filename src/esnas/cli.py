@@ -72,7 +72,7 @@ def _load_json_file(path, what):
 def _load_space(path):
     try:
         return archspace.SearchSpaceConfig.from_dict(_load_json_file(path, "config"))
-    except (archspace.ConfigError, TypeError) as e:
+    except archspace.ConfigError as e:
         raise CliError(f"invalid search-space config {path}", [str(e)])
 
 
@@ -128,9 +128,8 @@ def cmd_stats(args):
     return 0
 
 
-SEARCH_SECTIONS = {"space": archspace.SearchSpaceConfig,
-                   "schedule": evolve.SearchSchedule,
-                   "entropic": metrics.EntropicConfig}
+SEARCH_SECTIONS = {cls.section: cls for cls in (
+    archspace.SearchSpaceConfig, evolve.SearchSchedule, metrics.EntropicConfig)}
 
 
 def _search_config(args):
@@ -169,7 +168,7 @@ def cmd_search(args):
     for name, cls in SEARCH_SECTIONS.items():
         try:
             parsed[name] = cls.from_dict(cfg[name])
-        except (ValueError, TypeError, AttributeError) as e:
+        except archspace.ConfigError as e:
             problems.append(f"{name}: {e}")
     if problems:
         raise CliError("invalid search configuration", problems)

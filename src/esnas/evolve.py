@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import archspace, metrics
-from .archspace import PHASE_SIZE, PHASE_TOPOLOGY
+from .archspace import PHASE_SIZE, PHASE_TOPOLOGY, ConfigError, ConfigSection, bounded
 
 METRIC_FOR_PHASE = {PHASE_TOPOLOGY: "entropic", PHASE_SIZE: "logsynflow"}
 
@@ -67,28 +67,11 @@ class Population:
 
 
 @dataclass
-class Budget:
-    kind: str  # "wallclock_seconds" | "evaluations"
-    amount: float
+class Budget(ConfigSection):
+    kind: str = bounded(choices=("wallclock_seconds", "evaluations"))
+    amount: float = bounded(above=0)  # an infinite or NaN amount never runs out
 
-    def validate(self):
-        if self.kind not in ("wallclock_seconds", "evaluations"):
-            raise ValueError(f"kind must be 'wallclock_seconds' or "
-                             f"'evaluations', got {self.kind!r}")
-        # an infinite or NaN amount never runs out; a bool is no number
-        if type(self.amount) not in (int, float) \
-                or not 0 < self.amount < math.inf:
-            raise ValueError(f"amount must be a finite number > 0, "
-                             f"got {self.amount!r}")
-        return self
-
-    @classmethod
-    def from_dict(cls, d):
-        archspace.reject_unknown_keys(d, cls, "budget")
-        return cls(**d).validate()
-
-    def to_dict(self):
-        return asdict(self)
+    section = "budget"
 
 
 class BudgetMeter:
@@ -108,82 +91,50 @@ class BudgetMeter:
         return time.monotonic() - self.t0 >= self.budget.amount
 
 
-BUDGET_KEYS = ("multistart_budget", "phase_budget", "total_budget")
-
-
 @dataclass
-class SearchSchedule:
-    multistart_populations: int = 5
+class SearchSchedule(ConfigSection):
+    # bad counts crash the search, or skip every step, after scoring began
+    multistart_populations: int = bounded(5, least=1)
     multistart_budget: Budget = field(
         default_factory=lambda: Budget("wallclock_seconds", 180))
     phase_budget: Budget = field(
         default_factory=lambda: Budget("wallclock_seconds", 300))
     total_budget: Budget = field(
         default_factory=lambda: Budget("wallclock_seconds", 2700))
-    multistart_population_size: int = 25
-    multistart_tournament_size: int = 5
-    population_size: int = 50
-    tournament_size: int = 10
-    mutations_per_step: int = 2
-    crossover_prob: float = 0.5
+    multistart_population_size: int = bounded(25, least=1)
+    multistart_tournament_size: int = bounded(5, least=1)
+    population_size: int = bounded(50, least=1)
+    tournament_size: int = bounded(10, least=1)
+    mutations_per_step: int = bounded(2, least=1)
+    crossover_prob: float = bounded(0.5, least=0, most=1)
     crossover_in_multistart: bool = True
-    seeds_per_phase: int = 5
-    infeasible_retries: int = 10
+    seeds_per_phase: int = bounded(5, least=1)
+    infeasible_retries: int = bounded(10, least=0)
     scoring_seed: int = 0
 
+    section = "schedule"
+
     def validate(self):
-        for key in BUDGET_KEYS:
-            try:
-                getattr(self, key).validate()
-            except ValueError as e:
-                raise ValueError(f"{key}.{e}") from None
-        # bad counts crash the search, or skip every step, after scoring began
-        for key, least in (
-                ("multistart_populations", 1), ("multistart_population_size", 1),
-                ("multistart_tournament_size", 1), ("population_size", 1),
-                ("tournament_size", 1), ("mutations_per_step", 1),
-                ("seeds_per_phase", 1), ("infeasible_retries", 0)):
-            value = getattr(self, key)
-            if type(value) is not int or value < least:  # a bool is no count
-                raise ValueError(f"{key} must be an int of at least {least}, "
-                                 f"got {value!r}")
-        if type(self.crossover_in_multistart) is not bool:
-            raise ValueError(f"crossover_in_multistart must be true or false, "
-                             f"got {self.crossover_in_multistart!r}")
+        super().validate()
         if self.multistart_tournament_size > self.multistart_population_size:
-            raise ValueError("multistart tournament size exceeds population size")
+            raise ConfigError("multistart_tournament_size exceeds "
+                              "multistart_population_size")
         if self.tournament_size > self.population_size:
-            raise ValueError("tournament size exceeds population size")
-        if type(self.crossover_prob) not in (int, float) \
-                or not 0 <= self.crossover_prob <= 1:
-            raise ValueError(f"crossover_prob must be a number in [0, 1], "
-                             f"got {self.crossover_prob!r}")
-        if all(getattr(self, key).kind == "evaluations" for key in BUDGET_KEYS):
+            raise ConfigError("tournament_size exceeds population_size")
+        budgets = (self.multistart_budget, self.phase_budget, self.total_budget)
+        if all(b.kind == "evaluations" for b in budgets):
             # each multi-start population but the last spends its whole
             # multistart_budget; the last needs one evaluation to exist
             need = ((self.multistart_populations - 1)
                     * math.ceil(self.multistart_budget.amount) + 1)
             if math.ceil(self.total_budget.amount) < need:
-                raise ValueError(
+                raise ConfigError(
                     f"total_budget of {self.total_budget.amount} evaluations "
                     f"cannot give each of the {self.multistart_populations} "
-                    f"multi-start populations one evaluation: with a "
+                    f"multistart_populations one evaluation: with a "
                     f"multistart_budget of {self.multistart_budget.amount} "
                     f"evaluations it must be at least {need}")
         return self
-
-    @classmethod
-    def from_dict(cls, d):
-        archspace.reject_unknown_keys(d, cls, "schedule")
-        kwargs = dict(d)
-        for key in BUDGET_KEYS:
-            if key in kwargs:
-                archspace.reject_unknown_keys(kwargs[key], Budget, key)
-                kwargs[key] = Budget(**kwargs[key])
-        return cls(**kwargs).validate()
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def tournament_select(pop, k, metric_name, seed):

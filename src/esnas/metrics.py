@@ -15,6 +15,7 @@ import atexit
 import contextlib
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -25,33 +26,29 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import archspace, netgraph
-from .archspace import genome_hash
+from .archspace import bounded, genome_hash
 
 
 @dataclass
-class EntropicConfig:
-    epsilon: float = 1e-8
-    repeats: int = 3
+class EntropicConfig(archspace.ConfigSection):
+    epsilon: float = bounded(1e-8, above=0)
+    repeats: int = bounded(3, least=1)
     input_low: float = -0.5
     input_high: float = 0.5
-    norm_axis: str = "across_channels"  # or "per_channel"
+    norm_axis: str = bounded("across_channels",
+                             choices=("across_channels", "per_channel"))
+
+    section = "entropic"
 
     def validate(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if type(self.repeats) is not int or self.repeats < 1:  # a bool is no count
-            raise ValueError(f"repeats must be an int of at least 1, "
-                             f"got {self.repeats!r}")
-        if self.input_low >= self.input_high:
-            raise ValueError("input_low must be < input_high")
-        if self.norm_axis not in ("across_channels", "per_channel"):
-            raise ValueError(f"unknown norm_axis {self.norm_axis!r}")
+        super().validate()
+        # rng.uniform overflows on a span that is not finite
+        if not (self.input_low < self.input_high
+                and math.isfinite(self.input_high - self.input_low)):
+            raise archspace.ConfigError(
+                f"input_low must be below input_high by a finite span, "
+                f"got {self.input_low!r} and {self.input_high!r}")
         return self
-
-    @classmethod
-    def from_dict(cls, d):
-        archspace.reject_unknown_keys(d, cls, "entropic")
-        return cls(**d).validate()
 
 
 # The proxies score_genome can compute, in the order it runs them.

@@ -1,12 +1,19 @@
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esnas import archspace, bench, cli, evolve, metrics, netgraph
 from esnas.archspace import random_genome
@@ -368,8 +375,23 @@ class TestSearch:
          "repeats must be an int of at least 1, got 2.5"),
         ("entropic", {"repeats": True},
          "repeats must be an int of at least 1, got True"),
+        ("entropic", {"input_low": -1e308, "input_high": 1e308},
+         "input_low must be below input_high by a finite span, "
+         "got -1e+308 and 1e+308"),
+        ("space", {"max_params": "x"},
+         "max_params must be an int of at least 1, got 'x'"),
+        ("space", {"input_resolution": 16.5},
+         "input_resolution must be an int of at least 4, got 16.5"),
+        ("space", {"num_stages": 1.0},
+         "num_stages must be an int of at least 1, got 1.0"),
+        ("space", {"attention_stages": 3},
+         "attention_stages must be a list, got 3"),
+        ("entropic", {"epsilon": "x"},
+         "epsilon must be a finite number > 0, got 'x'"),
     ], ids=["stem_channels", "space-list", "schedule-list", "budget-list",
-            "entropic-string", "repeats-float", "repeats-bool"])
+            "entropic-string", "repeats-float", "repeats-bool", "input-span",
+            "max_params-string", "input_resolution-float", "num_stages-float",
+            "attention_stages-int", "epsilon-string"])
     def test_bad_section_exits_2_naming_it_before_scoring(
             self, tmp_path, search_config_file, section, value, problem,
             nothing_scored, capsys):
@@ -399,6 +421,7 @@ class TestSearch:
         ("phase_budget.amount", True), ("multistart_budget.amount", "x"),
         ("total_budget.kind", "minutes"), ("total_budget", []),
         ("crossover_prob", "x"), ("crossover_prob", math.nan),
+        ("scoring_seed", "x"),
     ])
     def test_bad_schedule_value_exits_2_naming_it_before_scoring(
             self, tmp_path, search_config_file, key, value, nothing_scored,
@@ -418,6 +441,21 @@ class TestSearch:
         [detail] = json.loads(err)["error"]["details"]
         assert detail.startswith(f"schedule: {key} must be ")
         assert detail.endswith(f"got {value!r}")
+        assert not out_dir.exists()
+
+    def test_budget_without_a_field_exits_2_naming_it(self, tmp_path,
+                                                      nothing_scored, capsys):
+        # wall-clock mode without a preset merges no default budget, so a
+        # missing amount once failed in Budget's constructor, naming no key
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(
+            {"schedule": {"total_budget": {"kind": "evaluations"}}}))
+        out_dir = tmp_path / "run"
+        code, out, err = run(["search", "--config", str(p),
+                              "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["details"] == [
+            "schedule: total_budget is missing key(s) 'amount'"]
         assert not out_dir.exists()
 
     def test_max_params_below_every_genome_exits_2(
@@ -543,6 +581,118 @@ class TestSearch:
             4960, 39008, [1973613244, 3782502437, 4146694914, 2361480034])
         assert (out_dir / "best_genome.json").read_text() == self.PINNED_GENOME
         assert len(fallbacks) == 3  # refill mutants replaced by their parent
+
+
+@st.composite
+def valid_search_configs(draw):
+    """A valid 16 px search config that gives every key, on an evaluation
+    schedule of 3 steps (so a search scores), and a genome of its space."""
+    n = draw(st.integers(1, 2))
+    space = {
+        "num_stages": n,
+        "blocks_per_stage": draw(st.lists(st.integers(1, 2), min_size=n,
+                                          max_size=n)),
+        "attention_stages": draw(st.sampled_from([[], [n], [1, n]])),
+        "stem_channels": 8,
+        "channel_domain": draw(st.sampled_from(
+            [[[8], [8, 16]], [[8, 16], [16, 24]]]))[:n],
+        "kernel_domain": draw(st.sampled_from([[3], [3, 5]])),
+        "expansion_domain": draw(st.sampled_from([[2], [1, 2]])),
+        "heads_domain": draw(st.sampled_from([[2], [1, 2]])),
+        "head_dim_domain": draw(st.sampled_from([[4], [4, 8]])),
+        "ffn_types": draw(st.sampled_from(
+            [["ibn"], ["convnext"], ["ibn", "convnext"]])),
+        "attention_probability": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "input_resolution": 16,
+        "input_channels": draw(st.sampled_from([1, 3])),
+        "max_params": 10_000_000,
+    }
+    schedule = {
+        "multistart_populations": 1,
+        "multistart_budget": {"kind": "evaluations", "amount": 2},
+        "phase_budget": {"kind": "evaluations", "amount": 1},
+        "total_budget": {"kind": "evaluations", "amount": 3},
+        "multistart_population_size": 2, "multistart_tournament_size": 1,
+        "population_size": 2, "tournament_size": 1, "mutations_per_step": 1,
+        "crossover_prob": draw(st.sampled_from([0.0, 0.5])),
+        "crossover_in_multistart": draw(st.booleans()),
+        "seeds_per_phase": 1, "infeasible_retries": 0,
+        "scoring_seed": draw(st.integers(0, 9)),
+    }
+    entropic = {"epsilon": 1e-8, "repeats": 1, "input_low": -0.5,
+                "input_high": 0.5, "norm_axis": draw(st.sampled_from(
+                    ["across_channels", "per_channel"]))}
+    genome = random_genome(archspace.SearchSpaceConfig.from_dict(space), 0)
+    return {"space": space, "schedule": schedule, "entropic": entropic}, genome
+
+
+def json_leaves(value, path=()):
+    """The path of every value in ``value`` that is no list or object."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for k, v in items for leaf in json_leaves(v, path + (k,))]
+    return [path]
+
+
+def json_type(value):
+    return next(i for i, t in enumerate((type(None), bool, (int, float), str,
+                                         list, dict)) if isinstance(value, t))
+
+
+def quiet_main(argv):
+    """Run the CLI; return its exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return cli.main(argv), err.getvalue()
+
+
+class TestBadLeaf:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_bad_leaf_exits_0_or_2_naming_its_key(self, data):
+        """One leaf of a valid config takes a value of another JSON type, a
+        non-finite number or an out-of-range number: search, score and stats
+        then exit 0 or 2, never 1, and a config error names the leaf's key
+        (a budget's field as total_budget.amount)."""
+        cfg, genome = data.draw(valid_search_configs())
+        path = data.draw(st.sampled_from(json_leaves(cfg)))
+        key = ".".join(k for k in path[1:] if isinstance(k, str))
+        with tempfile.TemporaryDirectory() as d, \
+                pytest.MonkeyPatch.context() as mp:
+            d = Path(d)
+            scored = []
+            score = metrics.score_genome
+            mp.setattr(metrics, "score_genome",
+                       lambda *a, **kw: scored.append(1) or score(*a, **kw))
+            search = ["search", "--budget-mode", "evals", "--config",
+                      str(d / "search.json"), "--out", str(d / "run")]
+            # the valid config's search scores, so a bad value that
+            # validation let through would fail at scoring
+            (d / "search.json").write_text(json.dumps(cfg))
+            assert quiet_main(search) == (0, "") and scored
+            *parents, leaf = path
+            holder = functools.reduce(operator.getitem, parents, cfg)
+            holder[leaf] = data.draw(st.sampled_from(
+                [v for v in (None, False, 1, "x", [], {})
+                 if json_type(v) != json_type(holder[leaf])]
+                + [math.inf, -math.inf, math.nan, -1, 0, 1.5, 3]))
+            (d / "search.json").write_text(json.dumps(cfg))
+            (d / "space.json").write_text(json.dumps(cfg["space"]))
+            (d / "genome.json").write_text(genome.to_json())
+            code, err = quiet_main(search)
+            assert code in (0, 2), err
+            if code == 2:
+                assert any(detail.startswith(f"{path[0]}: ") and key in detail
+                           for detail in json.loads(err)["error"]["details"]), err
+            for command in ("score", "stats"):
+                code, err = quiet_main([command, "--arch", str(d / "genome.json"),
+                                        "--config", str(d / "space.json")])
+                assert code in (0, 2), err
+                if code == 2:
+                    # a valid space that the genome is not in is no config error
+                    error = json.loads(err)["error"]
+                    assert (key in " ".join(error["details"])
+                            or error["message"] == "genome fails validation"), err
 
 
 class TestCorrelate:
