@@ -1,9 +1,10 @@
 """Training-free proxies: activation-entropy expressivity and log-damped gradient flow.
 
-An entropic forward takes each tap's entropy as the tap is produced and
-frees each activation after its last use; the log-SynFlow backward frees
-values and gradients behind it and reduces each parameter gradient to its
-term at once.  Scoring runs with OpenBLAS at one thread, and
+An entropic forward draws each conv's weights as it reaches the conv,
+takes each tap's entropy as the tap is produced and frees each activation
+after its last use; log-SynFlow redraws the prepared graph, and its
+backward frees values and gradients behind it and reduces each parameter
+gradient to its term at once.  Scoring runs with OpenBLAS at one thread, and
 ``score_genome`` runs a large candidate's log-SynFlow pass in a persistent
 forked helper process beside its entropic repeats; whatever goes wrong with
 the helper, it is stopped and the calling thread runs the pass.
@@ -109,8 +110,10 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
     seed; a repeat whose entropy sum is not finite raises FloatingPointError.
     The graph, laid out as the scoring network (no norms, ReLU for GELU),
     is prepared for scoring (absolute weights) once, unless it is already
-    in scoring mode, and each repeat re-initialises the prepared graph,
-    which equals preparing each re-initialised graph.
+    in scoring mode.  Each repeat's forward draws each conv's weights as it
+    reaches the conv, the draws ``reinit`` of the prepared graph makes,
+    which equals preparing each re-initialised graph; no repeat builds a
+    redrawn graph.
     """
     cfg.validate()
     if len(seeds) != cfg.repeats:
@@ -125,9 +128,7 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
         wseed, xseed = np.random.SeedSequence(seed).spawn(2)
         x = np.random.default_rng(xseed).uniform(
             cfg.input_low, cfg.input_high, graph.input_shape)
-        # unnamed, so each redraw is freed before the next is drawn
-        _, terms = netgraph.forward(netgraph.reinit(prepared, wseed), x,
-                                    tap=entropy)
+        _, terms = netgraph.forward(prepared, x, tap=entropy, seed=wseed)
         per_repeat.append(float(sum(terms)))
         if not np.isfinite(per_repeat[-1]):
             raise FloatingPointError(
@@ -327,8 +328,8 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
 
     One pass: the genome is validated and laid out once, its structure gives
     the counts and has its absolute values taken once, and every proxy pass
-    (the entropic repeats, then log-SynFlow from the last seed)
-    re-initialises that one prepared graph.  A full report of a candidate
+    (the entropic repeats, then log-SynFlow from the last seed) draws its
+    weights for that one prepared graph.  A full report of a candidate
     of at least HELPER_MIN_MACS, on two or more usable CPUs while no other
     thread uses the helper process, runs log-SynFlow there, laid out and
     prepared the same way, while the entropic repeats run here; their

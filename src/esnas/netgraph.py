@@ -20,9 +20,13 @@ or strided depthwise, raises ValueError.
 
 The forward streams: it hands each activation tap to the caller's ``tap``
 function as the tap is produced and drops every value after its last
-consumer.  The backward drops each node's value and incoming gradient once
-that node's step has run, and hands each parameter gradient to ``reduce``
-as soon as it exists.  ``one_blas_thread`` pins OpenBLAS to one thread.
+consumer; given a seed, as an entropic repeat is, it draws each conv's
+weights as it reaches the conv, the draws ``reinit`` makes, and drops them
+once the conv has run.  Log-SynFlow redraws the prepared graph with
+``reinit``, as its backward needs every weight at once.  The backward
+drops each node's value and incoming gradient once that node's step has
+run, and hands each parameter gradient to ``reduce`` as soon as it exists.
+``one_blas_thread`` pins OpenBLAS to one thread.
 """
 
 from __future__ import annotations
@@ -355,10 +359,12 @@ def _last_uses(graph):
     return graph.last_uses
 
 
-def _forward_all(graph, x, take=None):
+def _forward_all(graph, x, take=None, rng=None):
     """Every node's value, in node order.  With ``take``, ``take(nid, value)``
     gets each activation tap as it is produced, and every value but the
-    output is dropped (left None) after its last consumer has run."""
+    output is dropped (left None) after its last consumer has run.  With
+    ``rng``, each conv node runs on weights ``_draw`` takes from it as the
+    pass reaches the node, dropped at the next node."""
     if tuple(x.shape) != tuple(graph.input_shape):
         raise GraphShapeError(
             f"input shape {tuple(x.shape)} does not match graph input "
@@ -368,6 +374,9 @@ def _forward_all(graph, x, take=None):
         last_uses = _last_uses(graph)
         taps = set(graph.activation_taps)
     for nid, node in enumerate(graph.nodes):
+        if rng is not None and node.kind == "conv2d":
+            node = OpNode(node.kind, node.inputs,
+                          _draw(node, rng, graph.scoring_mode), node.attrs)
         ins = [x if i == INPUT else vals[i] for i in node.inputs]
         try:
             vals[nid] = _node_forward(node, ins)
@@ -386,15 +395,21 @@ def _forward_all(graph, x, take=None):
     return vals
 
 
-def forward(graph, x, tap=None):
+def forward(graph, x, tap=None, seed=None):
     """Evaluate the graph; return (output, [tap tensors in network order]),
-    or ``tap(tensor)`` of each tap, taken as the tap is produced."""
+    or ``tap(tensor)`` of each tap, taken as the tap is produced.
+
+    With ``seed``, the pass runs ``reinit(graph, seed)`` bit for bit without
+    building it: each conv node's weights are drawn as the pass reaches the
+    node and dropped once it has run, so the pass holds one conv's weights
+    beside its live activations.  The graph is left untouched."""
     kept = {}
 
     def take(nid, value):
         kept[nid] = value if tap is None else tap(value)
 
-    vals = _forward_all(graph, x, take)
+    vals = _forward_all(graph, x, take,
+                        None if seed is None else np.random.default_rng(seed))
     return vals[graph.output_id], [kept[t] for t in graph.activation_taps]
 
 
@@ -454,7 +469,7 @@ def prepare_for_scoring(graph):
     for node in g.nodes:
         node.params = [_absolute(p) for p in node.params]
     g.scoring_mode = True
-    _last_uses(g)  # once here, rather than in each redraw's forward
+    _last_uses(g)  # once here, rather than in each repeat's forward
     return g
 
 
@@ -477,12 +492,25 @@ def _uniform(rng, bound, shape):
     return u
 
 
+def _draw(node, rng, absolute):
+    """A conv node's weight, then its bias, drawn from U(-1/fan_in,
+    +1/fan_in), or their absolute values: the draws of ``reinit`` and of a
+    seeded ``forward`` alike."""
+    bound = 1.0 / node.attrs["fan_in"]
+    params = [_uniform(rng, bound, p.shape) for p in node.params]
+    if absolute:
+        for p in params:
+            np.abs(p, out=p)
+    return params
+
+
 def reinit(graph, seed):
     """Redraw all weights from U(-1/fan_in, +1/fan_in); returns a copy.
 
-    Conv nodes draw in node order, and nothing else draws: the suppressed
-    norms have no node and no parameter array.  A scoring-mode graph gets
-    the absolute values of its draws.
+    Conv nodes draw in node order (``_draw``), and nothing else draws: the
+    suppressed norms have no node and no parameter array.  A scoring-mode
+    graph gets the absolute values of its draws.  A pass that needs the
+    weights only once runs ``forward(graph, x, seed=seed)`` instead.
 
     The reciprocal (rather than root-reciprocal) fan-in scaling keeps the
     absolute-weight scoring forward pass depth-stable: the expected gain of a
@@ -494,13 +522,7 @@ def reinit(graph, seed):
     g = graph.copy()
     for node in g.nodes:
         if node.kind == "conv2d":
-            bound = 1.0 / node.attrs["fan_in"]
-            node.params[0] = _uniform(rng, bound, node.params[0].shape)
-            if node.attrs["bias"]:
-                node.params[1] = _uniform(rng, bound, node.params[1].shape)
-            if g.scoring_mode:
-                for p in node.params:
-                    np.abs(p, out=p)
+            node.params = _draw(node, rng, g.scoring_mode)
     return g
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from esnas import netgraph
@@ -690,6 +690,34 @@ class TestReinit:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
             assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("scoring", [True, False])
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(genome_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**64 - 1))
+    def test_seeded_forward_runs_the_redraw(self, attn_config, scoring,
+                                            genome_seed, seed):
+        """``forward(g, x, tap=t, seed=s)`` is ``forward(reinit(g, s), x,
+        tap=t)`` bit for bit, output and every tap, on a prepared structure
+        and on one not in scoring mode, whose draws stay signed; ``g`` is
+        left as it was."""
+        genome = random_genome(attn_config, genome_seed)
+        assume(any(isinstance(g, AttnGene) for _, _, g in genome.blocks()))
+        graph = build_structure(genome, attn_config)
+        if scoring:
+            graph = prepare_for_scoring(graph)
+        x = np.random.default_rng(seed).uniform(-1, 1, graph.input_shape)
+
+        def tap(t):
+            return t.tobytes()
+
+        out, taps = forward(graph, x, tap=tap, seed=seed)
+        want_out, want_taps = forward(reinit(graph, seed), x, tap=tap)
+        assert out.tobytes() == want_out.tobytes()
+        assert taps == want_taps and len(taps) == len(graph.activation_taps)
+        assert all(p.strides == (0,) * p.ndim
+                   for _, _, p in graph.iter_params())
 
     def test_commutes_with_prepare(self):
         # default-space genomes that hold attention, at a small resolution
