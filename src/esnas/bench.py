@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -169,10 +170,11 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     Entries with a precomputed score for the metric are used directly;
     otherwise the architecture is instantiated and only the named proxy is
     computed, in a pool of ``workers`` processes when ``workers > 1``, each
-    scoring serially.  Rows that can do neither (the genome does not parse
-    or validate, or the proxy fails) are skipped, counted, logged and listed
-    in the report with their reason and row number (the entry's CSV row,
-    else its position in ``table`` from 1).
+    scoring serially.  Rows without a finite score (the precomputed score is
+    NaN or infinite, the genome does not parse or validate, or the proxy
+    fails) are skipped, counted, logged and listed in the report with their
+    reason and row number (the entry's CSV row, else its position in
+    ``table`` from 1).
     Pairs keep table order.
     """
     if not table:
@@ -180,9 +182,12 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     jobs = [(e.arch, metric_name, config, entropic_cfg, base_seed)
             for e in table if metric_name not in e.precomputed_scores]
     if workers > 1 and jobs:
-        # workers fork with OpenBLAS at one thread and score serially (a
-        # one-proxy row never uses the helper): the pool keeps the cores busy
-        with netgraph.one_blas_thread(), ProcessPoolExecutor(workers) as pool:
+        # workers fork with OpenBLAS at one thread, whatever the platform's
+        # default start method, and score serially (a one-proxy row never
+        # uses the helper): the pool keeps the cores busy
+        fork = multiprocessing.get_context("fork")
+        with netgraph.one_blas_thread(), ProcessPoolExecutor(
+                workers, mp_context=fork) as pool:
             results = iter(list(pool.map(_score_row, jobs)))
     else:
         results = map(_score_row, jobs)
@@ -190,13 +195,15 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     for i, entry in enumerate(table):
         if metric_name in entry.precomputed_scores:
             score = float(entry.precomputed_scores[metric_name])
+            reason = None if math.isfinite(score) else (
+                f"precomputed score_{metric_name} is {score!r}")
         else:
             score, reason = next(results)
-            if reason is not None:
-                row = i + 1 if entry.row is None else entry.row
-                log.warning("skipped benchmark row %d: %s", row, reason)
-                skipped.append({"row": row, "reason": reason})
-                continue
+        if reason is not None:
+            row = i + 1 if entry.row is None else entry.row
+            log.warning("skipped benchmark row %d: %s", row, reason)
+            skipped.append({"row": row, "reason": reason})
+            continue
         pairs.append((score, entry.accuracy))
     if len(pairs) < 2:
         raise CorrelationError(

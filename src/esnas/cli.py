@@ -50,6 +50,14 @@ def atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def _make_dir(path):
+    """Create the output directory ``path``; failing is an input error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot create output directory {path}", [str(e)])
+
+
 def _deep_merge(base, override):
     out = copy.deepcopy(base)
     for k, v in override.items():
@@ -112,6 +120,7 @@ def cmd_score(args):
     report = metrics.score_genome(genome, space, base_seed=args.seed)
     text = report.to_json()
     if args.out:
+        _make_dir(Path(args.out).parent)
         atomic_write(args.out, text + "\n")
     print(text)
     return 0
@@ -185,7 +194,7 @@ def cmd_search(args):
             f"space: max_params {space.max_params} is below {least}, the least "
             f"parameter count of any genome in the space"])
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     manifest = ManifestWriter("search", cfg, args.seed)
 
     log.info("starting search: space=%s schedule=%s", space.ref(),
@@ -233,7 +242,7 @@ def cmd_correlate(args):
     except bench.CorrelationError as e:
         raise CliError("correlation failed", [str(e)])
     out_path = Path(args.out or "report.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_path.parent)
     atomic_write(out_path, canonical_json(report.to_dict()) + "\n")
     scatter_path = out_path.with_name("scatter.csv")
     atomic_write(scatter_path, "score,accuracy\n" + "".join(
@@ -246,14 +255,16 @@ def cmd_correlate(args):
 
 # ---------------------------------------------------------------------------
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least):
+    """The argparse type of an int of at least ``least``; argparse reports
+    the ValueError of a non-int as an invalid int value."""
+    def check(text):
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    check.__name__ = "int"
+    return check
 
 
 def build_parser():
@@ -264,7 +275,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=0,
+                       help="master seed, a non-negative int")
         p.add_argument("--out", help="output file or directory")
 
     p = sub.add_parser("score", help="score one genome file")
@@ -293,9 +305,9 @@ def build_parser():
     p.add_argument("--metric", required=True,
                    choices=metrics.PROXIES)
     p.add_argument("--config", help="search-space JSON (needed to score rows)")
-    p.add_argument("--sample", type=_positive_int,
+    p.add_argument("--sample", type=_int_at_least(1),
                    help="uniform row sample size")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="scoring pool size; 1 scores rows in this process")
     p.set_defaults(func=cmd_correlate)
 

@@ -2,7 +2,7 @@
 
 An entropic forward draws each conv's weights as it reaches the conv,
 takes each tap's entropy as the tap is produced and frees each activation
-after its last use; log-SynFlow redraws the prepared graph, and its
+after its last use; log-SynFlow redraws the genome's layout, and its
 backward frees values and gradients behind it and reduces each parameter
 gradient to its term at once.  Scoring runs with OpenBLAS at one thread, and
 ``score_genome`` runs a large candidate's log-SynFlow pass in a persistent
@@ -108,12 +108,10 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
 
     Each repeat re-initialises the weights and redraws the input from its own
     seed; a repeat whose entropy sum is not finite raises FloatingPointError.
-    The graph, laid out as the scoring network (no norms, ReLU for GELU),
-    is prepared for scoring (absolute weights) once, unless it is already
-    in scoring mode.  Each repeat's forward draws each conv's weights as it
-    reaches the conv, the draws ``reinit`` of the prepared graph makes,
-    which equals preparing each re-initialised graph; no repeat builds a
-    redrawn graph.
+    A graph not in scoring mode (a genome layout is) is prepared for
+    scoring (absolute weights) once.  Each repeat's forward draws each
+    conv's weights as it reaches the conv, the draws ``reinit`` of the
+    prepared graph makes; no repeat builds a redrawn graph.
     """
     cfg.validate()
     if len(seeds) != cfg.repeats:
@@ -154,9 +152,9 @@ def logsynflow(graph):
     """Sum over parameters of |theta| * ln(1 + |dR/dtheta|) on the prepared graph.
 
     R is the sum of the output elements under an all-ones input.  A graph in
-    scoring mode is used as it is.  The prepared graph's parameters are
-    already non-negative, so theta is |theta|.  Terms are summed, and
-    non-finite gradients reported, in parameter order.
+    scoring mode, as a redrawn genome layout is, is used as it is.  The
+    prepared graph's parameters are non-negative, so theta is |theta|.
+    Terms are summed, and non-finite gradients reported, in parameter order.
     """
     g = netgraph.prepare_for_scoring(graph)
     out, terms = netgraph.backward_param_grads(g, reduce=_logsynflow_term)
@@ -219,8 +217,8 @@ class _Helper:
 
 def _serve(conn, caller_end):
     """The helper process: answer requests until the caller's end closes.
-    The pass is score_genome's own: the same layout, preparation and
-    redraw, so the same value.  A reply that cannot be sent (the caller is
+    The pass is score_genome's own: the same layout and redraw, so the
+    same value.  A reply that cannot be sent (the caller is
     gone, or the error does not pickle) ends the helper, and the caller
     reruns the pass."""
     caller_end.close()
@@ -242,9 +240,8 @@ def _serve(conn, caller_end):
 
 
 def _logsynflow_pass(genome, config, seed):
-    prepared = netgraph.prepare_for_scoring(
-        netgraph.build_structure(genome, config))
-    return logsynflow(netgraph.reinit(prepared, seed))
+    return logsynflow(netgraph.reinit(
+        netgraph.build_structure(genome, config), seed))
 
 
 def _stop_helper():
@@ -326,13 +323,13 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     fields of any other are None.  Seeds and counts do not depend on it, and
     each proxy computed has the value of the full report.
 
-    One pass: the genome is validated and laid out once, its structure gives
-    the counts and has its absolute values taken once, and every proxy pass
-    (the entropic repeats, then log-SynFlow from the last seed) draws its
-    weights for that one prepared graph.  A full report of a candidate
+    One pass: the genome is validated and laid out once, in scoring mode;
+    the layout gives the counts, and every proxy pass (the entropic
+    repeats, then log-SynFlow from the last seed) draws its weights for
+    that one graph, which nothing copies.  A full report of a candidate
     of at least HELPER_MIN_MACS, on two or more usable CPUs while no other
-    thread uses the helper process, runs log-SynFlow there, laid out and
-    prepared the same way, while the entropic repeats run here; their
+    thread uses the helper process, runs log-SynFlow there, laid out the
+    same way, while the entropic repeats run here; their
     exception wins, as in serial order, and an error of the helper's pass
     is raised here.  If anything else goes wrong with the helper, it is
     stopped and this thread runs the pass.
@@ -349,13 +346,12 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     with _logsynflow_in_helper(
             genome, config, seeds[-1],
             set(proxies) == set(PROXIES) and macs >= HELPER_MIN_MACS) as reply:
-        prepared = netgraph.prepare_for_scoring(structure)
         if "entropic" in proxies:
-            entropic, per_repeat = entropic_score(prepared, cfg, seeds[:-1],
+            entropic, per_repeat = entropic_score(structure, cfg, seeds[:-1],
                                                   return_per_repeat=True)
         lsf = reply()
     if "logsynflow" in proxies and lsf is None:
-        lsf = logsynflow(netgraph.reinit(prepared, seeds[-1]))
+        lsf = logsynflow(netgraph.reinit(structure, seeds[-1]))
     return ScoreReport(
         entropic=entropic,
         entropic_per_repeat=per_repeat,

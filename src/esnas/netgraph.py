@@ -2,12 +2,12 @@
 
 Graphs are flat topologically-ordered node lists over float64 numpy arrays
 (batch dimension fixed to 1; feature maps are (C, H, W)).  A genome is laid
-out as the network the proxies score: normalisation suppressed (a norm adds
-its parameter count and no node), ReLU where the block has GELU, and a
-row-sum-preserving scale where attention has softmax.  The engine runs its
-seven kinds, evaluating the forward with activation taps (the ReLU nodes),
-and reverse-mode gradients of the output sum with respect to every
-parameter.
+out in scoring mode as the network the proxies score: normalisation
+suppressed (a norm adds its parameter count and no node), ReLU where the
+block has GELU, and a row-sum-preserving scale where attention has softmax.
+The engine runs its seven kinds, evaluating the forward with activation
+taps (the ReLU nodes), and reverse-mode gradients of the output sum with
+respect to every parameter.
 
 Convolution kernels, forward and backward, one for each conv a genome lays
 out: a stride-1 depthwise conv is k batched matmuls over channels, each
@@ -18,15 +18,15 @@ matmul; any other dense conv (the strided 3x3 stem and downsamplers) is one
 matmul of the weights and the im2col window columns.  Any other conv, grouped
 or strided depthwise, raises ValueError.
 
-The forward streams: it hands each activation tap to the caller's ``tap``
-function as the tap is produced and drops every value after its last
-consumer; given a seed, as an entropic repeat is, it draws each conv's
-weights as it reaches the conv, the draws ``reinit`` makes, and drops them
-once the conv has run.  Log-SynFlow redraws the prepared graph with
-``reinit``, as its backward needs every weight at once.  The backward
-drops each node's value and incoming gradient once that node's step has
-run, and hands each parameter gradient to ``reduce`` as soon as it exists.
-``one_blas_thread`` pins OpenBLAS to one thread.
+The forward streams and writes nothing into its graph: it hands each
+activation tap to the caller's ``tap`` function as the tap is produced and
+drops every value after its last consumer; given a seed, as an entropic
+repeat is, it draws each conv's weights as it reaches the conv, the draws
+``reinit`` makes, and drops them once the conv has run.  Log-SynFlow
+redraws the layout with ``reinit``, as its backward needs every weight at
+once.  The backward drops each node's value and incoming gradient once that
+node's step has run, and hands each parameter gradient to ``reduce`` as
+soon as it exists.  ``one_blas_thread`` pins OpenBLAS to one thread.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import contextlib
 import ctypes
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -76,19 +76,15 @@ class Graph:
     out_shapes: list[tuple]
     scoring_mode: bool = False
     norm_params: int = 0  # counted for the norms, which lay out no node
-    last_uses: list | None = field(default=None, repr=False, compare=False)
 
     def copy(self):
-        """Copy of the graph structure; the nodes share the parameter arrays.
-
-        Every caller replaces parameter arrays rather than writing into them,
-        and keeps the wiring, so neither the arrays nor the last-use table
-        is ever copied."""
+        """Copy of the graph structure; the nodes share the parameter arrays,
+        which every caller replaces rather than writes into."""
         return Graph([n.copy() for n in self.nodes],
                      tuple(self.input_shape),
                      self.output_id, list(self.activation_taps),
                      list(self.out_shapes), self.scoring_mode,
-                     self.norm_params, self.last_uses)
+                     self.norm_params)
 
     def iter_params(self):
         """Yield (node_id, param_index, array) over all parameter tensors."""
@@ -348,15 +344,13 @@ def _node_backward(node, ins, gout):
 
 def _last_uses(graph):
     """Per node, the values whose last consumer it is (a value no node reads
-    is listed at its own node; the output never is).  Built once per graph
-    and shared by its copies."""
-    if graph.last_uses is None:
-        last = {i: nid for nid, n in enumerate(graph.nodes) for i in n.inputs}
-        graph.last_uses = [[] for _ in graph.nodes]
-        for i in range(len(graph.nodes)):
-            if i != graph.output_id:
-                graph.last_uses[last.get(i, i)].append(i)
-    return graph.last_uses
+    is listed at its own node; the output never is)."""
+    last = {i: nid for nid, n in enumerate(graph.nodes) for i in n.inputs}
+    uses = [[] for _ in graph.nodes]
+    for i in range(len(graph.nodes)):
+        if i != graph.output_id:
+            uses[last.get(i, i)].append(i)
+    return uses
 
 
 def _forward_all(graph, x, take=None, rng=None):
@@ -402,7 +396,7 @@ def forward(graph, x, tap=None, seed=None):
     With ``seed``, the pass runs ``reinit(graph, seed)`` bit for bit without
     building it: each conv node's weights are drawn as the pass reaches the
     node and dropped once it has run, so the pass holds one conv's weights
-    beside its live activations.  The graph is left untouched."""
+    beside its live activations.  Nothing is written into the graph."""
     kept = {}
 
     def take(nid, value):
@@ -452,35 +446,22 @@ def backward_param_grads(graph, reduce=None):
 
 
 def prepare_for_scoring(graph):
-    """A copy of the graph whose every parameter value is replaced by its
+    """A copy of a weighted graph with every parameter replaced by its
     absolute value, in scoring mode; the input graph is left untouched.  A
-    graph already in scoring mode is returned as it is, so this is
-    idempotent and never copies twice.
+    graph already in scoring mode, as every genome layout is, is returned
+    as it is, so this is idempotent.
 
     It commutes with ``reinit``: ``reinit(prepare_for_scoring(g), s)``
     equals ``prepare_for_scoring(reinit(g, s))`` array for array, because
     ``reinit`` takes the absolute values of a scoring-mode graph's draws.
-    So a candidate is prepared once and re-initialised for every proxy
-    pass.
     """
     if graph.scoring_mode:
         return graph
     g = graph.copy()
     for node in g.nodes:
-        node.params = [_absolute(p) for p in node.params]
+        node.params = [np.abs(p) for p in node.params]
     g.scoring_mode = True
-    _last_uses(g)  # once here, rather than in each repeat's forward
     return g
-
-
-def _absolute(p):
-    """``np.abs(p)``; a zero-stride parameter (a structure's constant)
-    becomes a zero-stride view of its absolute value, with nothing
-    allocated."""
-    if not p.size or any(p.strides):
-        return np.abs(p)
-    v = p.flat[0]
-    return np.broadcast_to(np.abs(v), p.shape) if np.signbit(v) else p
 
 
 def _uniform(rng, bound, shape):
@@ -512,11 +493,12 @@ def reinit(graph, seed):
     graph gets the absolute values of its draws.  A pass that needs the
     weights only once runs ``forward(graph, x, seed=seed)`` instead.
 
-    The reciprocal (rather than root-reciprocal) fan-in scaling keeps the
-    absolute-weight scoring forward pass depth-stable: the expected gain of a
-    prepared conv node is 1/2, so residual blocks hover near unit
-    magnitude and the activation-squaring attention products cannot overflow
-    float64 at any supported depth.
+    The reciprocal (rather than root-reciprocal) fan-in scaling damps the
+    absolute-weight scoring forward pass: the expected gain of a prepared
+    conv node is 1/2, so residual blocks hover near unit magnitude.  It does
+    not bound it: an attention block about cubes activations that pass ~1,
+    so a deep, wide candidate with many attention blocks can overflow
+    float64, and scoring it raises ``FloatingPointError``.
     """
     rng = np.random.default_rng(seed)
     g = graph.copy()
@@ -709,8 +691,8 @@ def _append_mhsa(b, src, cin, heads, head_dim):
 
 
 def build_structure(genome, config):
-    """Validate a genome and lay out its scoring network without drawing
-    weights.
+    """Validate a genome and lay out its scoring network, in scoring mode,
+    without drawing weights.
 
     Each norm adds its 2*C parameters to ``norm_params`` and no node;
     ConvNeXt's GELU is a ReLU, and attention's softmax is a scale by
@@ -718,7 +700,8 @@ def build_structure(genome, config):
     and biases are read-only zero-stride views of one shared zero, so every
     node, shape and parameter count is final, no random number is drawn
     and no parameter memory is allocated: parameter and MAC counts are
-    taken from this.  ``build_graph`` adds the seeded weights.
+    taken from this.  The zeros are their own absolute values, so ``reinit``
+    and a seeded ``forward`` draw the layout absolute weights.
     """
     violations = validate(genome, config)
     if violations:
@@ -746,13 +729,14 @@ def build_structure(genome, config):
     taps = [i for i, n in enumerate(b.nodes) if n.kind == "relu"]
     return Graph(nodes=b.nodes, input_shape=b.input_shape, output_id=x,
                  activation_taps=taps, out_shapes=b.shapes,
-                 norm_params=b.norm_params)
+                 scoring_mode=True, norm_params=b.norm_params)
 
 
 def build_graph(genome, config, seed):
-    """Instantiate a genome as an executable graph with seeded weights:
-    ``reinit(build_structure(genome, config), seed)``."""
-    return reinit(build_structure(genome, config), seed)
+    """Instantiate a genome as an executable graph with seeded signed
+    weights: its layout taken out of scoring mode, then ``reinit``."""
+    return reinit(replace(build_structure(genome, config),
+                          scoring_mode=False), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import math
+import multiprocessing
 import threading
 import time
 
@@ -311,6 +313,38 @@ class TestCorrelateBenchmark:
             set_threads(before)
         assert [s for s, _ in pairs] == [1.0, 11.0, 21.0, 31.0]
         assert after == 2
+
+    def test_pool_forks_whatever_the_default_start_method(self, monkeypatch):
+        """Under a spawn default (forkserver is Python 3.14's on Linux) the
+        pool still forks, so its workers still inherit one OpenBLAS
+        thread; spawned workers would start at the library's default."""
+        saved = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            self.test_pool_workers_start_at_one_blas_thread(monkeypatch)
+        finally:
+            multiprocessing.set_start_method(saved, force=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_precomputed_score_skips_its_row(self, bad, caplog):
+        """A NaN or infinite precomputed score is skipped with its reason,
+        as a row whose proxy fails is, so the report stays strict JSON."""
+        table = self.precomputed_table([1.0, bad, 3.0], [10.0, 20.0, 25.0])
+        table[1].row = 2
+        report, pairs = correlate_benchmark(table, "entropic")
+        reason = f"precomputed score_entropic is {bad!r}"
+        assert report.skipped == [{"row": 2, "reason": reason}]
+        assert report.skipped_rows == 1 and report.n == 2
+        assert pairs == [(1.0, 10.0), (3.0, 25.0)]
+        assert report.kendall_tau == 1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped benchmark row 2: {reason}"]
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        assert json.loads(json.dumps(report.to_dict()),
+                          parse_constant=refuse) == report.to_dict()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_row_skipped_only_when_its_proxy_fails(self, attn_config,

@@ -91,6 +91,15 @@ class TestScore:
         assert out1 == out2
         assert out_path.read_bytes() == first
 
+    def test_out_parent_is_created(self, tmp_path, space_file, genome_file,
+                                   capsys):
+        out_path = tmp_path / "new" / "dir" / "r.json"
+        code, out, err = run(["score", "--arch", str(genome_file),
+                              "--config", str(space_file),
+                              "--out", str(out_path)], capsys)
+        assert code == 0, err
+        assert out_path.read_text() == out
+
     def test_invalid_genome_exits_2_with_violations(
             self, tmp_path, space_file, capsys):
         bad = tmp_path / "bad.json"
@@ -232,6 +241,18 @@ class TestSearch:
         history = [json.loads(line) for line in
                    (out_dir / "history.ndjson").read_text().splitlines()]
         assert history[-1]["event"] == "search_done"
+
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path,
+                                                 search_config_file, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        code, out, err = run(["search", "--config", str(search_config_file),
+                              "--budget-mode", "evals",
+                              "--out", str(taken)], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["message"] == f"cannot create output directory {taken}"
+        assert taken.read_text() == "kept\n"
 
     def test_rerun_is_byte_identical(self, tmp_path, search_config_file, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -715,6 +736,27 @@ class TestCorrelate:
         assert len(scatter) == 4
         assert (tmp_path / "manifest.json").exists()
 
+    def test_non_finite_score_row_is_skipped(self, tmp_path, capsys):
+        """A NaN precomputed score skips its row, and the report is strict
+        JSON."""
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("id,score_entropic,accuracy\n"
+                            "a,1.0,60.0\nb,nan,70.0\nc,3.0,65.0\n")
+        out_path = tmp_path / "report.json"
+        code, out, err = run(["correlate", "--bench", str(csv_path),
+                              "--metric", "entropic",
+                              "--out", str(out_path)], capsys)
+        assert code == 0, err
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(out_path.read_text(), parse_constant=refuse)
+        assert json.loads(out, parse_constant=refuse) == report
+        assert report["n"] == 2 and report["kendall_tau"] == 1.0
+        assert report["skipped"] == [{
+            "row": 2, "reason": "precomputed score_entropic is nan"}]
+
     def test_genome_rows_require_config(self, tmp_path, tiny_config, capsys):
         g = random_genome(tiny_config, 0)
         csv_path = tmp_path / "bench.csv"
@@ -934,6 +976,21 @@ def test_workers_only_on_correlate(argv, capsys):
     assert exc.value.code == 2
     assert (f"unrecognized arguments: {' '.join(argv[-2:])}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+@pytest.mark.parametrize("argv", [
+    ["score", "--arch", "g.json", "--config", "s.json"],
+    ["search", "--budget-mode", "evals"],
+    ["correlate", "--bench", "b.csv", "--metric", "entropic", "--sample", "2"],
+], ids=["score", "search", "correlate"])
+def test_seed_must_be_a_non_negative_int(tmp_path, argv, seed, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_special(

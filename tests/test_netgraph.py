@@ -1,5 +1,7 @@
+import copy
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,6 +279,29 @@ class TestForward:
         with pytest.raises(ValueError, match="no kernel for node kind 'gelu'"):
             netgraph._node_backward(graph.nodes[x], [np.ones((2, 1, 1))],
                                     np.ones((2, 1, 1)))
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_leaves_its_graph_as_it_found_it(self, attn_config, seeded):
+        """A forward, drawing its weights or reading the graph's, writes
+        nothing into the graph: every field, node and parameter is as it
+        was, down to the parameter arrays' identity and bytes."""
+        def state(graph):
+            fields = copy.deepcopy({k: v for k, v in vars(graph).items()
+                                    if k != "nodes"})
+            fields["nodes"] = [(id(n), copy.deepcopy(
+                {k: v for k, v in vars(n).items() if k != "params"}),
+                [(id(p), p.shape, p.strides, p.tobytes()) for p in n.params])
+                for n in graph.nodes]
+            return fields
+
+        for s in range(3):
+            graph = build_structure(random_genome(attn_config, s), attn_config)
+            if not seeded:
+                graph = reinit(graph, s)
+            before = state(graph)
+            x = rng.uniform(-1, 1, graph.input_shape)
+            forward(graph, x, tap=np.max, seed=s if seeded else None)
+            assert state(graph) == before
 
     def test_genome_graph_runs_as_built(self, attn_config):
         graph = build_graph(random_genome(attn_config, 2), attn_config, 0)
@@ -699,25 +724,27 @@ class TestReinit:
     def test_seeded_forward_runs_the_redraw(self, attn_config, scoring,
                                             genome_seed, seed):
         """``forward(g, x, tap=t, seed=s)`` is ``forward(reinit(g, s), x,
-        tap=t)`` bit for bit, output and every tap, on a prepared structure
-        and on one not in scoring mode, whose draws stay signed; ``g`` is
-        left as it was."""
+        tap=t)`` bit for bit, output and every tap, on a layout as built (in
+        scoring mode) and on one taken out of scoring mode, whose draws stay
+        signed; ``g`` is left as it was."""
         genome = random_genome(attn_config, genome_seed)
         assume(any(isinstance(g, AttnGene) for _, _, g in genome.blocks()))
-        graph = build_structure(genome, attn_config)
-        if scoring:
-            graph = prepare_for_scoring(graph)
+        graph = replace(build_structure(genome, attn_config),
+                        scoring_mode=scoring)
         x = np.random.default_rng(seed).uniform(-1, 1, graph.input_shape)
 
         def tap(t):
             return t.tobytes()
 
         out, taps = forward(graph, x, tap=tap, seed=seed)
-        want_out, want_taps = forward(reinit(graph, seed), x, tap=tap)
+        redraw = reinit(graph, seed)
+        want_out, want_taps = forward(redraw, x, tap=tap)
         assert out.tobytes() == want_out.tobytes()
         assert taps == want_taps and len(taps) == len(graph.activation_taps)
         assert all(p.strides == (0,) * p.ndim
                    for _, _, p in graph.iter_params())
+        assert any((p < 0).any() for _, _, p in redraw.iter_params()) \
+            is not scoring
 
     def test_commutes_with_prepare(self):
         # default-space genomes that hold attention, at a small resolution
@@ -815,12 +842,3 @@ class TestWeightFreeStructure:
         assert all(p.strides == (0,) * p.ndim
                    and np.shares_memory(p, netgraph._ZERO)
                    for _, _, p in prepared.iter_params())
-
-    def test_rewrite_of_a_negative_constant_is_a_view_of_its_magnitude(self):
-        g = conv1x1_graph(np.ones((2, 3)))
-        g.nodes[0].params = [np.broadcast_to(-2.5, (2, 3, 1, 1))]
-        q = prepare_for_scoring(g).nodes[0].params[0]
-        assert q.strides == (0,) * 4
-        assert np.array_equal(q, np.full((2, 3, 1, 1), 2.5))
-        assert g.nodes[0].params[0][0, 0, 0, 0] == -2.5
-
