@@ -44,10 +44,22 @@ def canonical_json(obj):
 
 
 def atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temporary file beside it, which a
+    failed write or replace removes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _check_file_out(path):
+    """Refuse, before any work, an output file path that is a directory."""
+    if Path(path).is_dir():
+        raise CliError(f"output file {path} is a directory")
 
 
 def _make_dir(path):
@@ -73,7 +85,9 @@ def _load_json_file(path, what):
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise CliError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise CliError(f"cannot read {what} file {path}", [str(e)])
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CliError(f"{what} file {path} is not valid JSON", [str(e)])
 
 
@@ -117,6 +131,8 @@ class ManifestWriter:
 def cmd_score(args):
     space = _load_space(args.config)
     genome = _load_genome(args.arch)
+    if args.out:
+        _check_file_out(args.out)
     report = metrics.score_genome(genome, space, base_seed=args.seed)
     text = report.to_json()
     if args.out:
@@ -232,6 +248,14 @@ def cmd_correlate(args):
         raise CliError(
             f"benchmark rows lack precomputed 'score_{args.metric}' values; "
             f"--config is required to instantiate architectures")
+    out_path = Path(args.out or "report.json")
+    scatter_path = out_path.with_name("scatter.csv")
+    manifest_path = out_path.with_name("manifest.json")
+    if out_path in (scatter_path, manifest_path):
+        raise CliError(f"--out {out_path} names a file that correlate writes "
+                       f"beside the report")
+    for path in (out_path, scatter_path, manifest_path):
+        _check_file_out(path)
     manifest = ManifestWriter("correlate",
                               {"bench": str(args.bench), "metric": args.metric},
                               args.seed)
@@ -241,14 +265,11 @@ def cmd_correlate(args):
             workers=args.workers)
     except bench.CorrelationError as e:
         raise CliError("correlation failed", [str(e)])
-    out_path = Path(args.out or "report.json")
     _make_dir(out_path.parent)
     atomic_write(out_path, canonical_json(report.to_dict()) + "\n")
-    scatter_path = out_path.with_name("scatter.csv")
     atomic_write(scatter_path, "score,accuracy\n" + "".join(
         f"{s!r},{a!r}\n" for s, a in pairs))
-    manifest.finish(out_path.with_name("manifest.json"),
-                    [out_path, scatter_path])
+    manifest.finish(manifest_path, [out_path, scatter_path])
     print(canonical_json(report.to_dict()))
     return 0
 
@@ -320,9 +341,17 @@ def _error(message, details, code):
     return code
 
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def main(argv=None):
+    level = (os.environ.get("ESNAS_LOG") or "WARNING").upper()
+    if level not in LOG_LEVELS:
+        return _error(f"ESNAS_LOG={os.environ['ESNAS_LOG']!r} is not a log "
+                      f"level", [f"accepted levels: {', '.join(LOG_LEVELS)}"],
+                      2)
     logging.basicConfig(
-        level=os.environ.get("ESNAS_LOG", "WARNING").upper(),
+        level=level,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -12,11 +12,12 @@ respect to every parameter.
 Convolution kernels, forward and backward, one for each conv a genome lays
 out: a stride-1 depthwise conv is k batched matmuls over channels, each
 multiplying the rows of overlapping width tiles (at most 8 output columns)
-of the padded input by one small banded matrix built from a kernel row, the
-backward overlap-adding the tiles' gradients; a stride-1 1x1 conv is one
-matmul; any other dense conv (the strided 3x3 stem and downsamplers) is one
-matmul of the weights and the im2col window columns.  Any other conv, grouped
-or strided depthwise, raises ValueError.
+of the padded input by one small banded matrix built from a kernel row, its
+input gradient being that forward on the output gradient with the kernel
+flipped; a stride-1 1x1 conv is one matmul; any other dense conv (the
+strided 3x3 stem and downsamplers) is one matmul of the weights and the
+im2col window columns.  Any other conv, grouped or strided depthwise, raises
+ValueError.
 
 The forward streams and writes nothing into its graph: it hands each
 activation tap to the caller's ``tap`` function as the tap is produced and
@@ -134,20 +135,24 @@ def _col2im(gcols, c, h, w, k, stride, pad):
     return gxp[:, pad:pad + h, pad:pad + w] if pad else gxp
 
 
+def _band_positions(k, width_out):
+    """Flat positions (k, width_out) in a (width_out + k - 1, width_out)
+    band: kernel column jj meets output column j at (j + jj, j)."""
+    j = np.arange(width_out)
+    return (np.arange(k)[:, None] + j) * width_out + j
+
+
 def _depthwise_band(w, width_in, width_out):
     """Banded row matrices of a stride-1 depthwise kernel ``w`` (C, k, k).
 
     ``band[c, i]`` is the (width_in, width_out) matrix with
     ``band[c, i, j + jj, j] = w[c, i, jj]``, so a padded input row times it
-    is kernel row i's contribution to an output row.  Also returns the flat
-    positions of the band entries, (k, width_out), for reading diagonals.
+    is kernel row i's contribution to an output row.
     """
     c, k, _ = w.shape
-    j = np.arange(width_out)
-    idx = (np.arange(k)[:, None] + j) * width_out + j
     band = np.zeros((c, k, width_in * width_out))
-    band[:, :, idx] = w[:, :, :, None]
-    return band.reshape(c, k, width_in, width_out), idx
+    band[:, :, _band_positions(k, width_out)] = w[:, :, :, None]
+    return band.reshape(c, k, width_in, width_out)
 
 
 _TILE = 8  # most output columns per depthwise width tile
@@ -176,7 +181,7 @@ def _depthwise_forward(x, w, pad):
     xt, t = _width_tiles(x, pad, k)
     nt, tk = xt.shape[2:]
     ho, wo = xt.shape[1] - k + 1, x.shape[2] + 2 * pad - k + 1
-    band, _ = _depthwise_band(w, tk, t)
+    band = _depthwise_band(w, tk, t)
     out = xt[:, :ho].reshape(c, -1, tk) @ band[:, 0]
     for i in range(1, k):
         out += xt[:, i:i + ho].reshape(c, -1, tk) @ band[:, i]
@@ -184,36 +189,21 @@ def _depthwise_forward(x, w, pad):
 
 
 def _depthwise_backward(x, w, pad, gout):
-    # gx through the transposed bands, tile by tile, then overlap-added;
-    # gw[:, i] from the band diagonals of the tiles' correlation with gout
+    # gx is the forward on gout with the kernel flipped, at padding k-1-pad
+    # (pad itself, k being odd); gw[:, i] from the band diagonals of the
+    # tiles' correlation with gout
     c, k, _ = w.shape
     xt, t = _width_tiles(x, pad, k)
-    hp, nt, tk = xt.shape[1:]
+    nt, tk = xt.shape[2:]
     ho, wo = gout.shape[1:]
-    band, idx = _depthwise_band(w, tk, t)
+    idx = _band_positions(k, t)
     gt = (_zero_pad(gout, ((0, 0), (0, 0), (0, nt * t - wo)))
           if nt * t > wo else gout).reshape(c, -1, t)
-    gxt = np.zeros_like(xt)
     gw = np.empty_like(w)
     for i in range(k):
-        gxt[:, i:i + ho] += (gt @ band[:, i].transpose(0, 2, 1)).reshape(
-            c, ho, nt, tk)
         corr = xt[:, i:i + ho].reshape(c, -1, tk).transpose(0, 2, 1) @ gt
         gw[:, i] = corr.reshape(c, -1)[:, idx].sum(axis=-1)
-    if nt == 1:
-        gxp = gxt.reshape(c, hp, tk)
-    else:
-        # tile j's column s lands on column j*t + s: the t-column body,
-        # then the k-1-column halo, in spans of at most t so that no two
-        # tiles' columns meet in one add
-        gxp = np.zeros((c, hp, nt * t + k - 1))
-        sc, sh, sw = gxp.strides
-        for s in range(0, tk, t):
-            cols = as_strided(gxp[:, :, s:], (c, hp, nt, min(t, tk - s)),
-                              (sc, sh, t * sw, sw))
-            cols += gxt[..., s:s + t]
-    h, wd = x.shape[1:]
-    return gxp[:, pad:pad + h, pad:pad + wd], gw
+    return _depthwise_forward(gout, w[:, ::-1, ::-1], k - 1 - pad), gw
 
 
 def _conv_path(node, cin):

@@ -183,6 +183,75 @@ class TestScore:
         assert code == 2
         assert "not found" in json.loads(err)["error"]["message"]
 
+    def test_out_naming_a_directory_exits_2_before_scoring(
+            self, tmp_path, space_file, genome_file, nothing_scored, capsys):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        code, out, err = run(["score", "--arch", str(genome_file),
+                              "--config", str(space_file),
+                              "--out", str(adir)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == (
+            f"output file {adir} is a directory")
+        assert adir.is_dir() and list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+@pytest.mark.parametrize("command, option", [
+    ("score", "--arch"), ("score", "--config"), ("stats", "--arch"),
+    ("search", "--config")])
+def test_unreadable_input_file_exits_2_naming_it(
+        tmp_path, space_file, genome_file, command, option, unreadable,
+        capsys):
+    bad = tmp_path / "bad.json"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes('{"stages": "\xe9"}'.encode("latin-1"))
+    if command == "search":
+        argv = ["search", "--budget-mode", "evals", "--config", str(bad),
+                "--out", str(tmp_path / "run")]
+    else:
+        files = {"--arch": str(genome_file), "--config": str(space_file),
+                 option: str(bad)}
+        argv = [command] + [a for kv in files.items() for a in kv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert str(bad) in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_atomic_write_leaves_no_temporary_file(tmp_path, fail):
+    """A write that fails part way (a lone surrogate cannot be encoded) or a
+    replace onto a directory removes the temporary file."""
+    path = tmp_path / "out"
+    if fail == "replace":
+        path.mkdir()
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        cli.atomic_write(path, "\udc80" if fail == "write" else "text\n")
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_unknown_log_level_exits_2_naming_it(genome_file, space_file,
+                                             monkeypatch, capsys):
+    argv = ["stats", "--arch", str(genome_file), "--config", str(space_file)]
+    monkeypatch.setenv("ESNAS_LOG", "verbose")
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert "ESNAS_LOG" in error["message"] and "'verbose'" in error["message"]
+    assert error["details"] == [
+        "accepted levels: DEBUG, INFO, WARNING, ERROR, CRITICAL"]
+    # outside pytest the root logger has no handler yet, the case in which
+    # logging.basicConfig itself would raise on the name
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, ESNAS_LOG="verbose", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "esnas.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert json.loads(done.stderr)["error"] == error
+
 
 class TestStats:
     def test_params_and_macs(self, space_file, genome_file, tiny_config, capsys):
@@ -947,6 +1016,31 @@ class TestCorrelate:
         assert code == 0, err
         assert json.loads(out_path.read_text())["n"] == 2
         assert (out_path.parent / "scatter.csv").exists()
+
+    @pytest.mark.parametrize("out, taken", [
+        ("adir", "adir"), ("o/scatter.csv", None), ("o/manifest.json", None),
+        ("r.json", "scatter.csv"), ("r.json", "manifest.json")])
+    def test_bad_out_exits_2_before_scoring(self, tmp_path, out, taken,
+                                            monkeypatch, capsys):
+        """An --out that names a directory or one of the files written
+        beside the report, or whose side file would land on a directory."""
+        def never(*args, **kwargs):
+            raise AssertionError("a row was scored")
+
+        monkeypatch.setattr(bench, "correlate_benchmark", never)
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("id,score_entropic,accuracy\n"
+                            "a,1.0,60.0\nb,2.0,70.0\n")
+        if taken:
+            (tmp_path / taken).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(["correlate", "--bench", str(csv_path),
+                                 "--metric", "entropic",
+                                 "--out", str(tmp_path / out)], capsys)
+        assert code == 2 and stdout == ""
+        assert str(tmp_path / (taken or out)) in json.loads(err)["error"][
+            "message"]
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_sample_flag(self, tmp_path, capsys):
         lines = ["id,score_entropic,accuracy"]
