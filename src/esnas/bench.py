@@ -231,12 +231,16 @@ def load_benchmark_csv(path):
             raise CorrelationError(f"{path}: missing 'accuracy' column")
         score_cols = [c for c in cols if c.startswith("score_")]
         for i, row in enumerate(reader):
+            if None in row.values():
+                raise CorrelationError(
+                    f"{path} row {i + 1}: fewer fields than the header's "
+                    f"{len(cols)}")
             acc = float(row["accuracy"])
             if not 0.0 <= acc <= 100.0:
                 raise CorrelationError(
                     f"{path} row {i + 1}: accuracy {acc} outside [0, 100]")
             pre = {c[len("score_"):]: float(row[c])
-                   for c in score_cols if row.get(c) not in (None, "")}
+                   for c in score_cols if row[c] != ""}
             entries.append(BenchmarkEntry(
                 arch=row.get("arch_json"), accuracy=acc,
                 precomputed_scores=pre, row=i + 1))

@@ -2,8 +2,10 @@
 
 Outputs are canonical JSON (fixed key order, compact separators) so that
 reruns with identical config, seed and evaluation budgets are byte-identical.
-Every run writes a manifest.  Exit codes: 0 ok, 1 internal error, 2 invalid
-input.
+``search`` and ``correlate`` write a manifest beside their outputs; ``score``
+writes only its ``--out`` report and ``stats`` only prints.  Every output path
+is checked, and its directory created, before any input is scored.  Exit
+codes: 0 ok, 1 internal error, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -56,18 +58,23 @@ def atomic_write(path, text):
         raise
 
 
-def _check_file_out(path):
-    """Refuse, before any work, an output file path that is a directory."""
-    if Path(path).is_dir():
-        raise CliError(f"output file {path} is a directory")
-
-
-def _make_dir(path):
-    """Create the output directory ``path``; failing is an input error."""
+def _output_paths(directory, *names):
+    """Check and create a command's outputs before any work: refuse two
+    names for one file and a name that is an existing directory, create
+    ``directory``, and return the paths of ``names`` in it.  Each refusal
+    names the path and creates nothing."""
+    paths = [directory / name for name in names]
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            raise CliError(f"output file {path} would be written twice")
+    for path in paths:
+        if path.is_dir():
+            raise CliError(f"output file {path} is a directory")
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise CliError(f"cannot create output directory {path}", [str(e)])
+        raise CliError(f"cannot create output directory {directory}", [str(e)])
+    return paths
 
 
 def _deep_merge(base, override):
@@ -132,12 +139,12 @@ def cmd_score(args):
     space = _load_space(args.config)
     genome = _load_genome(args.arch)
     if args.out:
-        _check_file_out(args.out)
+        out = Path(args.out)
+        out_path, = _output_paths(out.parent, out.name)
     report = metrics.score_genome(genome, space, base_seed=args.seed)
     text = report.to_json()
     if args.out:
-        _make_dir(Path(args.out).parent)
-        atomic_write(args.out, text + "\n")
+        atomic_write(out_path, text + "\n")
     print(text)
     return 0
 
@@ -209,18 +216,15 @@ def cmd_search(args):
         raise CliError("invalid search configuration", [
             f"space: max_params {space.max_params} is below {least}, the least "
             f"parameter count of any genome in the space"])
-    out_dir = Path(args.out or ".")
-    _make_dir(out_dir)
+    genome_path, report_path, history_path, manifest_path = _output_paths(
+        Path(args.out or "."), "best_genome.json", "best_report.json",
+        "history.ndjson", "manifest.json")
     manifest = ManifestWriter("search", cfg, args.seed)
 
     log.info("starting search: space=%s schedule=%s", space.ref(),
              schedule.to_dict())
     best, history = evolve.cyclic_search(space, schedule, args.seed, ecfg)
 
-    genome_path = out_dir / "best_genome.json"
-    report_path = out_dir / "best_report.json"
-    history_path = out_dir / "history.ndjson"
-    manifest_path = out_dir / "manifest.json"
     atomic_write(genome_path, best.genome.to_json() + "\n")
     atomic_write(report_path, best.report.to_json() + "\n")
     atomic_write(history_path,
@@ -248,14 +252,9 @@ def cmd_correlate(args):
         raise CliError(
             f"benchmark rows lack precomputed 'score_{args.metric}' values; "
             f"--config is required to instantiate architectures")
-    out_path = Path(args.out or "report.json")
-    scatter_path = out_path.with_name("scatter.csv")
-    manifest_path = out_path.with_name("manifest.json")
-    if out_path in (scatter_path, manifest_path):
-        raise CliError(f"--out {out_path} names a file that correlate writes "
-                       f"beside the report")
-    for path in (out_path, scatter_path, manifest_path):
-        _check_file_out(path)
+    out = Path(args.out or "report.json")
+    out_path, scatter_path, manifest_path = _output_paths(
+        out.parent, out.name, "scatter.csv", "manifest.json")
     manifest = ManifestWriter("correlate",
                               {"bench": str(args.bench), "metric": args.metric},
                               args.seed)
@@ -265,7 +264,6 @@ def cmd_correlate(args):
             workers=args.workers)
     except bench.CorrelationError as e:
         raise CliError("correlation failed", [str(e)])
-    _make_dir(out_path.parent)
     atomic_write(out_path, canonical_json(report.to_dict()) + "\n")
     atomic_write(scatter_path, "score,accuracy\n" + "".join(
         f"{s!r},{a!r}\n" for s, a in pairs))

@@ -432,6 +432,13 @@ class TestCsvLoading:
         with pytest.raises(CorrelationError, match="outside"):
             load_benchmark_csv(p)
 
+    def test_short_row_names_file_and_row(self, tmp_path):
+        p = tmp_path / "bench.csv"
+        p.write_text("id,score_entropic,accuracy\n"
+                     "a,1.0,60.0\nb,2.0\nc,3.0,70\n")
+        with pytest.raises(CorrelationError, match=f"^{p} row 2: fewer"):
+            load_benchmark_csv(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "bench.csv"
         p.write_text("")

@@ -232,6 +232,85 @@ def test_atomic_write_leaves_no_temporary_file(tmp_path, fail):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def _output_argv(command, out, tmp_path, space_file, genome_file,
+                 search_config_file, tiny_config):
+    """argv for a run of ``command`` that scores candidates into ``out``."""
+    if command == "score":
+        return ["score", "--arch", str(genome_file), "--config",
+                str(space_file), "--out", str(out)]
+    if command == "search":
+        return ["search", "--config", str(search_config_file),
+                "--budget-mode", "evals", "--out", str(out)]
+    csv_path = tmp_path / "bench.csv"
+    csv_path.write_text("arch_json,accuracy\n" + "".join(
+        '"{}",{}\n'.format(random_genome(tiny_config, s).to_json()
+                           .replace('"', '""'), 60 + s) for s in range(3)))
+    return ["correlate", "--bench", str(csv_path), "--metric", "entropic",
+            "--config", str(space_file), "--out", str(out)]
+
+
+# (command, bad output): --out, the directory to make first, and the path
+# that the error names; score has one output and search fixed distinct
+# names, so only correlate can name one file twice
+BAD_OUTPUTS = {
+    ("score", "file in path"): ("afile/r.json", None, "afile"),
+    ("score", "name is a directory"): ("d/r.json", "d/r.json", "d/r.json"),
+    ("search", "file in path"): ("afile/run", None, "afile/run"),
+    ("search", "name is a directory"): (
+        "d", "d/history.ndjson", "d/history.ndjson"),
+    ("correlate", "file in path"): ("afile/r.json", None, "afile"),
+    ("correlate", "name is a directory"): (
+        "d/r.json", "d/scatter.csv", "d/scatter.csv"),
+    ("correlate", "same file"): (
+        "d/manifest.json", None, "d/manifest.json"),
+}
+
+
+@pytest.mark.parametrize("command, bad", BAD_OUTPUTS)
+def test_bad_output_exits_2_naming_it_before_scoring(
+        tmp_path, space_file, genome_file, search_config_file, tiny_config,
+        command, bad, nothing_scored, monkeypatch, capsys):
+    # search counts its space's least genome to validate max_params, which
+    # counts no candidate
+    monkeypatch.setattr(archspace, "least_params", lambda space: 0)
+    out, taken, named = BAD_OUTPUTS[command, bad]
+    argv = _output_argv(command, tmp_path / out, tmp_path, space_file,
+                        genome_file, search_config_file, tiny_config)
+    (tmp_path / "afile").write_text("kept\n")
+    if taken:
+        (tmp_path / taken).mkdir(parents=True)
+    before = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert str(tmp_path / named) in json.loads(err)["error"]["message"]
+    assert {p: p.is_dir() or p.read_bytes()
+            for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command", ["score", "search", "correlate"])
+def test_rerun_overwrites_an_existing_output_directory(
+        tmp_path, space_file, genome_file, search_config_file, tiny_config,
+        command, capsys):
+    out = tmp_path / "out" / ("r.json" if command != "search" else "")
+    argv = _output_argv(command, out, tmp_path, space_file, genome_file,
+                        search_config_file, tiny_config)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    first = {p: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    for p in first:
+        p.write_text("stale\n")
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    again = {p: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert again.keys() == first.keys()
+    for p in first:
+        if p.name == "manifest.json":
+            assert json.loads(again[p])["outputs"] == json.loads(
+                first[p])["outputs"]
+        else:
+            assert again[p] == first[p]
+
+
 def test_unknown_log_level_exits_2_naming_it(genome_file, space_file,
                                              monkeypatch, capsys):
     argv = ["stats", "--arch", str(genome_file), "--config", str(space_file)]
