@@ -231,10 +231,13 @@ def load_benchmark_csv(path):
             raise CorrelationError(f"{path}: missing 'accuracy' column")
         score_cols = [c for c in cols if c.startswith("score_")]
         for i, row in enumerate(reader):
-            if None in row.values():
+            # DictReader leaves a short row's missing fields None, and lists
+            # a long row's extra values (empty after a trailing comma) under
+            # the key None
+            if None in row.values() or any(row.get(None, ())):
                 raise CorrelationError(
-                    f"{path} row {i + 1}: fewer fields than the header's "
-                    f"{len(cols)}")
+                    f"{path} row {i + 1}: {'more' if None in row else 'fewer'}"
+                    f" fields than the header's {len(cols)}")
             acc = float(row["accuracy"])
             if not 0.0 <= acc <= 100.0:
                 raise CorrelationError(

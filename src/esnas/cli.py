@@ -360,6 +360,8 @@ def main(argv=None):
     except archspace.InvalidGenomeError as e:
         # build_structure's validation is the one check of a genome
         return _error("genome fails validation", e.violations, 2)
+    except evolve.NoFeasibleDrawError as e:
+        return _error("invalid search configuration", [str(e)], 2)
     except Exception as e:  # noqa: BLE001 - report, keep machine-readable
         log.exception("internal error")
         return _error(f"internal error: {e}", [], 1)

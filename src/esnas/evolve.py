@@ -29,6 +29,10 @@ from .archspace import PHASE_SIZE, PHASE_TOPOLOGY, ConfigError, ConfigSection, b
 METRIC_FOR_PHASE = {PHASE_TOPOLOGY: "entropic", PHASE_SIZE: "logsynflow"}
 
 
+class NoFeasibleDrawError(RuntimeError):
+    """No random draw of the space fits under its ``max_params``."""
+
+
 def ranking(metric_name):
     """Sort key of the aging tournament: higher metric first, and on a tie
     the younger individual (later birth step) wins."""
@@ -206,9 +210,9 @@ class SearchEngine:
             g = archspace.random_genome(self.config, self._seed())
             if self.feasible(g):
                 return g
-        raise RuntimeError(
-            f"could not draw a genome under max_params={self.config.max_params} "
-            f"in {tries} tries")
+        raise NoFeasibleDrawError(
+            f"space: none of {tries} random draws fits under max_params "
+            f"{self.config.max_params}")
 
     def proposal_step(self, pop, meters, genome):
         """Charge one evaluation to every meter and advance ``step``; then,

@@ -108,15 +108,13 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
 
     Each repeat re-initialises the weights and redraws the input from its own
     seed; a repeat whose entropy sum is not finite raises FloatingPointError.
-    A graph not in scoring mode (a genome layout is) is prepared for
-    scoring (absolute weights) once.  Each repeat's forward draws each
-    conv's weights as it reaches the conv, the draws ``reinit`` of the
-    prepared graph makes; no repeat builds a redrawn graph.
+    Each repeat's forward draws each conv's weights as it reaches the conv,
+    the absolute draws ``reinit`` of the graph makes, so only the graph's
+    layout is read, and no repeat builds a redrawn graph.
     """
     cfg.validate()
     if len(seeds) != cfg.repeats:
         raise ValueError(f"expected {cfg.repeats} seeds, got {len(seeds)}")
-    prepared = netgraph.prepare_for_scoring(graph)
 
     def entropy(tap):
         return layer_entropy(normalize_activations(tap, cfg), cfg.epsilon)
@@ -126,7 +124,7 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
         wseed, xseed = np.random.SeedSequence(seed).spawn(2)
         x = np.random.default_rng(xseed).uniform(
             cfg.input_low, cfg.input_high, graph.input_shape)
-        _, terms = netgraph.forward(prepared, x, tap=entropy, seed=wseed)
+        _, terms = netgraph.forward(graph, x, tap=entropy, seed=wseed)
         per_repeat.append(float(sum(terms)))
         if not np.isfinite(per_repeat[-1]):
             raise FloatingPointError(
@@ -149,19 +147,18 @@ def _logsynflow_term(theta, grad):
 
 @netgraph.one_blas_thread()
 def logsynflow(graph):
-    """Sum over parameters of |theta| * ln(1 + |dR/dtheta|) on the prepared graph.
+    """Sum over parameters of |theta| * ln(1 + |dR/dtheta|).
 
-    R is the sum of the output elements under an all-ones input.  A graph in
-    scoring mode, as a redrawn genome layout is, is used as it is.  The
-    prepared graph's parameters are non-negative, so theta is |theta|.
-    Terms are summed, and non-finite gradients reported, in parameter order.
+    R is the sum of the output elements under an all-ones input.  The graph
+    is scored as it is given: scoring passes a redrawn layout, whose weights
+    are absolute, so theta is |theta|.  Terms are summed, and non-finite
+    gradients reported, in parameter order.
     """
-    g = netgraph.prepare_for_scoring(graph)
-    out, terms = netgraph.backward_param_grads(g, reduce=_logsynflow_term)
+    out, terms = netgraph.backward_param_grads(graph, reduce=_logsynflow_term)
     if not np.isfinite(float(out.sum())):
         raise FloatingPointError("non-finite scoring output sum")
     score = 0.0
-    for (nid, _, _), term in zip(g.iter_params(), terms):
+    for (nid, _, _), term in zip(graph.iter_params(), terms):
         if term is None:
             raise FloatingPointError(f"non-finite gradient at node {nid}")
         score += term
@@ -323,16 +320,15 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     fields of any other are None.  Seeds and counts do not depend on it, and
     each proxy computed has the value of the full report.
 
-    One pass: the genome is validated and laid out once, in scoring mode;
-    the layout gives the counts, and every proxy pass (the entropic
-    repeats, then log-SynFlow from the last seed) draws its weights for
-    that one graph, which nothing copies.  A full report of a candidate
-    of at least HELPER_MIN_MACS, on two or more usable CPUs while no other
-    thread uses the helper process, runs log-SynFlow there, laid out the
-    same way, while the entropic repeats run here; their
-    exception wins, as in serial order, and an error of the helper's pass
-    is raised here.  If anything else goes wrong with the helper, it is
-    stopped and this thread runs the pass.
+    One pass: the genome is validated and laid out once; the layout gives
+    the counts, and every proxy pass (the entropic repeats, then log-SynFlow
+    from the last seed) draws its weights for that one graph, which nothing
+    copies.  A full report of a candidate of at least HELPER_MIN_MACS, on
+    two or more usable CPUs while no other thread uses the helper process,
+    runs log-SynFlow there, laid out the same way, while the entropic
+    repeats run here; their exception wins, as in serial order, and an
+    error of the helper's pass is raised here.  If anything else goes wrong
+    with the helper, it is stopped and this thread runs the pass.
     """
     cfg = (cfg or EntropicConfig()).validate()
     if not proxies or not set(proxies) <= set(PROXIES):

@@ -20,6 +20,22 @@ def conv1x1_graph(weights, bias=None):
     return netgraph.Graph(b.nodes, b.input_shape, nid, [], b.shapes)
 
 
+def signed_graph(genome, config, seed):
+    """A genome's layout with seeded signed weights: each conv, in node
+    order, draws its weight and then its bias from U(-1/fan_in, 1/fan_in).
+    The engine draws only their absolute values (``netgraph.reinit``);
+    signed weights put ReLU inputs on both sides of zero, as a check of the
+    ReLU backward needs."""
+    graph = netgraph.build_structure(genome, config)
+    rng = np.random.default_rng(seed)
+    for node in graph.nodes:
+        if node.kind == "conv2d":
+            bound = 1.0 / node.attrs["fan_in"]
+            node.params = [rng.uniform(-bound, bound, p.shape)
+                           for p in node.params]
+    return graph
+
+
 def genome_norm_params(genome, config):
     """Scale and shift parameters of a genome's norms, from its genes: an
     IBN FFN normalises its hidden width twice and its output once, a

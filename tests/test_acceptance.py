@@ -152,7 +152,8 @@ def test_gradients_match_finite_differences_on_50_graphs():
 
 
 def test_logsynflow_analytic_and_finite_difference():
-    score = logsynflow(conv1x1_graph(np.array([[3.0, -4.0]])))
+    score = logsynflow(prepare_for_scoring(
+        conv1x1_graph(np.array([[3.0, -4.0]]))))
     assert abs(score - 7.0 * math.log(2.0)) < 1e-12
 
     r = np.random.default_rng(12)
@@ -162,9 +163,9 @@ def test_logsynflow_analytic_and_finite_difference():
     g = Graph(b.nodes, b.input_shape, out, [a1], b.shapes)
     g.nodes[0].params = [r.normal(0, 1, (6, 4, 1, 1)), r.normal(0, 1, 6)]
     g.nodes[out].params = [r.normal(0, 1, (3, 6, 1, 1)), r.normal(0, 1, 3)]
-    score = logsynflow(g)
-
     prepared = prepare_for_scoring(g)
+    score = logsynflow(prepared)
+
     x = np.ones(prepared.input_shape)
     h = 1e-6
     ref = 0.0

@@ -439,6 +439,23 @@ class TestCsvLoading:
         with pytest.raises(CorrelationError, match=f"^{p} row 2: fewer"):
             load_benchmark_csv(p)
 
+    def test_long_row_names_file_and_row(self, tmp_path):
+        # a shifted row: its last value would be dropped without a word
+        p = tmp_path / "bench.csv"
+        p.write_text("id,score_entropic,accuracy\n"
+                     "b,2.0,70.0\na,1.0,60.0,99\n")
+        with pytest.raises(CorrelationError,
+                           match=f"^{p} row 2: more fields than the "
+                                 f"header's 3$"):
+            load_benchmark_csv(p)
+
+    def test_trailing_comma_row_loads(self, tmp_path):
+        p = tmp_path / "bench.csv"
+        p.write_text("id,score_entropic,accuracy\na,1.0,60.0,\nb,2.0,70.0,,\n")
+        entries = load_benchmark_csv(p)
+        assert [(e.precomputed_scores, e.accuracy) for e in entries] == [
+            ({"entropic": 1.0}, 60.0), ({"entropic": 2.0}, 70.0)]
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "bench.csv"
         p.write_text("")

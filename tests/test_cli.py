@@ -647,6 +647,29 @@ class TestSearch:
             "of any genome in the space"]
         assert not out_dir.exists()
 
+    def test_no_draw_under_max_params_exits_2(self, tmp_path, monkeypatch,
+                                              capsys):
+        # above the least count, so the config check passes, but too close
+        # to it for any of the first 200 draws: this once exited 1
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was scored")
+
+        monkeypatch.setattr(metrics, "score_genome", never)
+        space = archspace.SearchSpaceConfig(input_resolution=16).validate()
+        least = archspace.least_params(space)
+        assert least == 380_128
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"space": {"input_resolution": 16,
+                                           "max_params": least + 1000}}))
+        out_dir = tmp_path / "run"
+        code, out, err = run(["search", "--config", str(p),
+                              "--budget-mode", "evals",
+                              "--out", str(out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["details"] == [
+            "space: none of 200 random draws fits under max_params 381128"]
+        assert not (out_dir / "best_genome.json").exists()
+
     # The search of test_trajectory_is_pinned: per history event its values
     # other than scores, in order; then every score of the history and of
     # best_report.json, in order.

@@ -222,19 +222,28 @@ class TestEntropicScore:
                 tracemalloc.stop()
             assert peak < redraw_bytes / 4, (s, peak, redraw_bytes)
 
-    def test_prepares_once(self, attn_config, monkeypatch):
+    def test_proxies_neither_prepare_nor_copy_the_graph(self, attn_config,
+                                                        monkeypatch):
+        """Both proxies run the graph they are given: scoring hands them a
+        layout and a redraw, whose weights are absolute already."""
+        structure = netgraph.build_structure(random_genome(attn_config, 0),
+                                             attn_config)
+        redraw = netgraph.reinit(structure, 4)
         calls = []
-        prepare = netgraph.prepare_for_scoring
 
-        def counting(graph):
-            calls.append(graph)
-            return prepare(graph)
+        def count(owner, name):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(netgraph, "prepare_for_scoring", counting)
-        g = netgraph.build_graph(random_genome(attn_config, 0), attn_config,
-                                 seed=0)
-        entropic_score(g, EntropicConfig(), [1, 2, 3])
-        assert len(calls) == 1
+            def counting(*args):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(owner, name, counting)
+
+        count(netgraph, "prepare_for_scoring")
+        count(netgraph.Graph, "copy")
+        entropic_score(structure, EntropicConfig(), [1, 2, 3])
+        logsynflow(redraw)
+        assert calls == []
 
     def test_scale_invariance_of_tap_entropy(self):
         """Multiplying one layer's weights rescales its taps but leaves the
@@ -267,7 +276,7 @@ class TestEntropicScore:
 
 class TestLogSynflow:
     def test_single_linear_analytic(self):
-        g = conv1x1_graph(np.array([[3.0, -4.0]]))
+        g = netgraph.prepare_for_scoring(conv1x1_graph(np.array([[3.0, -4.0]])))
         assert abs(logsynflow(g) - 7.0 * math.log(2.0)) < 1e-12
 
     def test_zero_weights_scores_zero(self):
@@ -288,9 +297,9 @@ class TestLogSynflow:
         g.nodes[0].params = [r.normal(0, 1, (5, 3, 1, 1)), r.normal(0, 1, 5)]
         g.nodes[out].params = [r.normal(0, 1, (2, 5, 1, 1)),
                                r.normal(0, 1, 2)]
-        score = logsynflow(g)
-
         prepared = netgraph.prepare_for_scoring(g)
+        score = logsynflow(prepared)
+
         h = 1e-6
         ref = 0.0
         x = np.ones(prepared.input_shape)

@@ -1,7 +1,6 @@
 import copy
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,12 @@ from esnas.netgraph import (
     reinit,
 )
 
-from conftest import conv1x1_graph, enumerate_space, genome_norm_params
+from conftest import (
+    conv1x1_graph,
+    enumerate_space,
+    genome_norm_params,
+    signed_graph,
+)
 
 rng = np.random.default_rng(12345)
 
@@ -528,11 +532,6 @@ class TestPrepare:
             for (_, _, a), (_, _, b) in zip(p1.iter_params(), p2.iter_params()):
                 assert np.array_equal(a, b)
 
-    def test_scoring_mode_graph_is_returned_as_is(self):
-        for t in TEMPLATES:
-            p = prepare_for_scoring(laid_out_graph(t, 5))
-            assert prepare_for_scoring(p) is p
-
     def test_nonnegative_propagation(self, attn_config):
         for s in range(5):
             genome = random_genome(attn_config, s)
@@ -661,13 +660,13 @@ class TestBackward:
     def genome_graph(attn_config):
         """The cheapest attn_config genome with an attention block, both FFN
         types and a channel-widening block (its residual pads), laid out
-        with its own signed weights."""
+        with signed weights."""
         from esnas.archspace import ArchGenome
         genome = ArchGenome(stages=[
             [FfnGene("ibn", 8, 3, 2)],
             [AttnGene("convnext", 16, 2, 2, 4), FfnGene("convnext", 16, 3, 2)]],
             config_ref=attn_config.ref())
-        return build_graph(genome, attn_config, seed=0)
+        return signed_graph(genome, attn_config, seed=0)
 
     def test_scoring_graph_gradients(self, attn_config):
         g = prepare_for_scoring(self.genome_graph(attn_config))
@@ -716,21 +715,18 @@ class TestReinit:
             assert a.tobytes() == b.tobytes()
             assert r1.bit_generator.state == r2.bit_generator.state
 
-    @pytest.mark.parametrize("scoring", [True, False])
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(genome_seed=st.integers(0, 2**32 - 1),
            seed=st.integers(0, 2**64 - 1))
-    def test_seeded_forward_runs_the_redraw(self, attn_config, scoring,
-                                            genome_seed, seed):
+    def test_seeded_forward_runs_the_redraw(self, attn_config, genome_seed,
+                                            seed):
         """``forward(g, x, tap=t, seed=s)`` is ``forward(reinit(g, s), x,
-        tap=t)`` bit for bit, output and every tap, on a layout as built (in
-        scoring mode) and on one taken out of scoring mode, whose draws stay
-        signed; ``g`` is left as it was."""
+        tap=t)`` bit for bit, output and every tap, on a layout as built,
+        whose draws are absolute; ``g`` is left as it was."""
         genome = random_genome(attn_config, genome_seed)
         assume(any(isinstance(g, AttnGene) for _, _, g in genome.blocks()))
-        graph = replace(build_structure(genome, attn_config),
-                        scoring_mode=scoring)
+        graph = build_structure(genome, attn_config)
         x = np.random.default_rng(seed).uniform(-1, 1, graph.input_shape)
 
         def tap(t):
@@ -743,33 +739,27 @@ class TestReinit:
         assert taps == want_taps and len(taps) == len(graph.activation_taps)
         assert all(p.strides == (0,) * p.ndim
                    for _, _, p in graph.iter_params())
-        assert any((p < 0).any() for _, _, p in redraw.iter_params()) \
-            is not scoring
+        assert all((p >= 0).all() for _, _, p in redraw.iter_params())
 
-    def test_commutes_with_prepare(self):
-        # default-space genomes that hold attention, at a small resolution
-        cfg = SearchSpaceConfig(input_resolution=32).validate()
-        checked = 0
-        for s in range(40):
-            genome = random_genome(cfg, s)
-            if not any(isinstance(g, AttnGene) for _, _, g in genome.blocks()):
-                continue
-            graph = build_graph(genome, cfg, seed=s)
-            a = reinit(prepare_for_scoring(graph), 1000 + s)
-            b = prepare_for_scoring(reinit(graph, 1000 + s))
-            assert [n.kind for n in a.nodes] == [n.kind for n in b.nodes]
-            assert [n.attrs for n in a.nodes] == [n.attrs for n in b.nodes]
-            assert a.activation_taps == b.activation_taps
-            assert a.scoring_mode and b.scoring_mode
-            pa, pb = list(a.iter_params()), list(b.iter_params())
-            assert len(pa) == len(pb)
-            for (na, ia, x), (nb, ib, y) in zip(pa, pb):
-                assert (na, ia) == (nb, ib)
-                assert x.shape == y.shape and x.tobytes() == y.tobytes()
-            checked += 1
-            if checked == 3:
-                return
-        pytest.fail("fewer than 3 attention genomes drawn")
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(genome_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**64 - 1))
+    def test_commutes_with_prepare(self, attn_config, genome_seed, seed):
+        """The engine's draws are the signed draws, prepared:
+        ``prepare_for_scoring(signed_graph(g, c, s))`` equals
+        ``build_graph(g, c, s)`` array for array."""
+        genome = random_genome(attn_config, genome_seed)
+        a = prepare_for_scoring(signed_graph(genome, attn_config, seed))
+        b = build_graph(genome, attn_config, seed)
+        assert [n.kind for n in a.nodes] == [n.kind for n in b.nodes]
+        assert [n.attrs for n in a.nodes] == [n.attrs for n in b.nodes]
+        assert a.activation_taps == b.activation_taps
+        pa, pb = list(a.iter_params()), list(b.iter_params())
+        assert len(pa) == len(pb)
+        for (na, ia, x), (nb, ib, y) in zip(pa, pb):
+            assert (na, ia) == (nb, ib)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def filled(graph):
@@ -824,21 +814,15 @@ class TestWeightFreeStructure:
             assert np.array_equal(out_a, out_b)
             assert all(map(np.array_equal, ga, gb))
 
-    def test_layout_and_rewrite_allocate_no_parameter_array(self):
+    def test_layout_allocates_no_parameter_array(self):
         space = SearchSpaceConfig(input_resolution=224).validate()
         genome = random_genome(space, 0)
         tracemalloc.start()
         try:
             structure = build_structure(genome, space)
             layout_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            prepared = prepare_for_scoring(structure)
-            rewrite_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 14.4 MB of parameters; the layout and rewrite take ~0.1-0.2 MB
+        # 14.4 MB of parameters; the layout takes ~0.1-0.2 MB
         param_bytes = 8 * count_graph_params(structure)
-        assert max(layout_peak, rewrite_peak) < param_bytes / 20
-        assert all(p.strides == (0,) * p.ndim
-                   and np.shares_memory(p, netgraph._ZERO)
-                   for _, _, p in prepared.iter_params())
+        assert layout_peak < param_bytes / 20
