@@ -462,8 +462,8 @@ def count_params(genome, config):
     return netgraph.count_graph_params(netgraph.build_structure(genome, config))
 
 
-def least_params(config):
-    """The least parameter count of any genome of the space.
+def least_genome(config):
+    """A genome of the least parameter count in the space.
 
     Every count grows with a block's channels, expansion, kernel, heads and
     head_dim, so each stage's blocks take its least values of these (the
@@ -490,4 +490,9 @@ def least_params(config):
             genome.stages[si][bi] = gene
             counts.append(count_params(genome, config))
         genome.stages[si][bi] = options[si][counts.index(min(counts))]
-    return count_params(genome, config)
+    return genome
+
+
+def least_params(config):
+    """The least parameter count of any genome of the space."""
+    return count_params(least_genome(config), config)

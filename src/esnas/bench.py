@@ -238,12 +238,16 @@ def load_benchmark_csv(path):
                 raise CorrelationError(
                     f"{path} row {i + 1}: {'more' if None in row else 'fewer'}"
                     f" fields than the header's {len(cols)}")
-            acc = float(row["accuracy"])
+            try:  # col names the cell being read when float() refuses it
+                acc = float(row[col := "accuracy"])
+                pre = {c[len("score_"):]: float(row[col := c])
+                       for c in score_cols if row[c] != ""}
+            except ValueError:
+                raise CorrelationError(f"{path} row {i + 1}: {col} "
+                                       f"{row[col]!r} is not a number") from None
             if not 0.0 <= acc <= 100.0:
                 raise CorrelationError(
                     f"{path} row {i + 1}: accuracy {acc} outside [0, 100]")
-            pre = {c[len("score_"):]: float(row[c])
-                   for c in score_cols if row[c] != ""}
             entries.append(BenchmarkEntry(
                 arch=row.get("arch_json"), accuracy=acc,
                 precomputed_scores=pre, row=i + 1))

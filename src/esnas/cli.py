@@ -211,11 +211,7 @@ def cmd_search(args):
             if b.kind != "evaluations":
                 raise CliError("--budget-mode evals requires evaluation budgets",
                                [f"{b.kind} budget found"])
-    least = archspace.least_params(space)
-    if space.max_params < least:
-        raise CliError("invalid search configuration", [
-            f"space: max_params {space.max_params} is below {least}, the least "
-            f"parameter count of any genome in the space"])
+    engine = evolve.SearchEngine(space, schedule, args.seed, ecfg)
     genome_path, report_path, history_path, manifest_path = _output_paths(
         Path(args.out or "."), "best_genome.json", "best_report.json",
         "history.ndjson", "manifest.json")
@@ -223,7 +219,7 @@ def cmd_search(args):
 
     log.info("starting search: space=%s schedule=%s", space.ref(),
              schedule.to_dict())
-    best, history = evolve.cyclic_search(space, schedule, args.seed, ecfg)
+    best, history = engine.cyclic_search()
 
     atomic_write(genome_path, best.genome.to_json() + "\n")
     atomic_write(report_path, best.report.to_json() + "\n")
@@ -360,7 +356,7 @@ def main(argv=None):
     except archspace.InvalidGenomeError as e:
         # build_structure's validation is the one check of a genome
         return _error("genome fails validation", e.violations, 2)
-    except evolve.NoFeasibleDrawError as e:
+    except archspace.ConfigError as e:
         return _error("invalid search configuration", [str(e)], 2)
     except Exception as e:  # noqa: BLE001 - report, keep machine-readable
         log.exception("internal error")

@@ -3,23 +3,25 @@
 The search runs in two stages: a multi-start warmup (several small
 independent populations, entropy-guided) followed by the main loop that
 alternates topology and size phases, each driven by its own metric
-(topology -> entropic score, size -> logsynflow).  Replacement is aging
-(FIFO): the evicted member is always the oldest, never the worst.
+(topology -> entropic score, size -> logsynflow).  A population is a
+bounded deque, so replacement is aging: it evicts the oldest, never the worst.
 
 Initial draws, phase refills and evolution steps are all proposal steps
 (``SearchEngine.proposal_step``): each charges one evaluation to its
 budget meters and advances ``step``, then scores, records and admits its
 genome, if any.  They differ only in how they draw a genome and in what
-they do with one over ``max_params``: an initial draw is retried, a refill
-mutant falls back to its parent's genome, and an evolution child is
-resampled, then the step is skipped.
+they do with one over ``max_params``: an initial draw is retried, then
+takes the space's least genome, a refill mutant falls back to its parent's
+genome, and an evolution child is resampled, then the step is skipped.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +31,10 @@ from .archspace import PHASE_SIZE, PHASE_TOPOLOGY, ConfigError, ConfigSection, b
 METRIC_FOR_PHASE = {PHASE_TOPOLOGY: "entropic", PHASE_SIZE: "logsynflow"}
 
 
-class NoFeasibleDrawError(RuntimeError):
-    """No random draw of the space fits under its ``max_params``."""
-
-
 def ranking(metric_name):
     """Sort key of the aging tournament: higher metric first, and on a tie
     the younger individual (later birth step) wins."""
-    return lambda m: (m.metric(metric_name), m.birth_step)
+    return lambda m: (getattr(m.report, metric_name), m.birth_step)
 
 
 @dataclass
@@ -45,35 +43,11 @@ class Individual:
     report: metrics.ScoreReport
     birth_step: int
 
-    def metric(self, name):
-        return getattr(self.report, name)
-
-
-@dataclass
-class Population:
-    capacity: int
-    members: list[Individual] = field(default_factory=list)
-
-    def admit(self, ind):
-        """Append; evict the oldest member when over capacity."""
-        self.members.append(ind)
-        while len(self.members) > self.capacity:
-            self.members.pop(0)
-
-    def __len__(self):
-        return len(self.members)
-
-    def best(self, metric_name):
-        return max(self.members, key=ranking(metric_name))
-
-    def top(self, metric_name, n):
-        return sorted(self.members, key=ranking(metric_name), reverse=True)[:n]
-
 
 @dataclass
 class Budget(ConfigSection):
     kind: str = bounded(choices=("wallclock_seconds", "evaluations"))
-    amount: float = bounded(above=0)  # an infinite or NaN amount never runs out
+    amount: float = bounded(above=0)  # finite: inf or NaN would never run out
 
     section = "budget"
 
@@ -146,13 +120,13 @@ def tournament_select(pop, k, metric_name, seed):
 
     Ties are broken in favour of the younger individual.
     """
-    if not pop.members:
+    if not pop:
         raise ValueError("tournament on an empty population")
-    if k > len(pop.members):
-        raise ValueError(f"tournament size {k} exceeds population {len(pop.members)}")
+    if k > len(pop):
+        raise ValueError(f"tournament size {k} exceeds population {len(pop)}")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(pop.members), size=k, replace=False)
-    return max((pop.members[i] for i in idx), key=ranking(metric_name))
+    idx = rng.choice(len(pop), size=k, replace=False)
+    return max((pop[i] for i in idx), key=ranking(metric_name))
 
 
 def genome_key(genome):
@@ -171,6 +145,10 @@ class SearchEngine:
     on those three.  A wall-clock total budget counts from construction."""
 
     def __init__(self, config, schedule, seed, entropic_cfg=None):
+        if config.max_params < (least := archspace.least_params(config)):
+            raise ConfigError(
+                f"space: max_params {config.max_params} is below {least}, the "
+                f"least parameter count of any genome in the space")
         self.config = config
         self.schedule = schedule.validate()
         self.entropic_cfg = (entropic_cfg or metrics.EntropicConfig()).validate()
@@ -205,14 +183,16 @@ class SearchEngine:
 
     # -- population construction ----------------------------------------
 
+    @cached_property
+    def least_genome(self):
+        return archspace.least_genome(self.config)
+
     def random_feasible_genome(self, tries=200):
         for _ in range(tries):
             g = archspace.random_genome(self.config, self._seed())
             if self.feasible(g):
                 return g
-        raise NoFeasibleDrawError(
-            f"space: none of {tries} random draws fits under max_params "
-            f"{self.config.max_params}")
+        return self.least_genome
 
     def proposal_step(self, pop, meters, genome):
         """Charge one evaluation to every meter and advance ``step``; then,
@@ -227,11 +207,11 @@ class SearchEngine:
         ind = Individual(genome=genome, report=self.score(genome),
                          birth_step=self.step)
         self.evaluated.append(ind)
-        pop.admit(ind)
+        pop.append(ind)
         return ind
 
     def init_population(self, size, meters):
-        pop = Population(capacity=size)
+        pop = deque(maxlen=size)
         while len(pop) < size and not any(m.exhausted() for m in meters):
             self.proposal_step(pop, meters, self.random_feasible_genome())
         return pop
@@ -239,11 +219,8 @@ class SearchEngine:
     def refill_population(self, seeds, phase, meters):
         """Build a phase population from seed individuals plus their mutants;
         an infeasible mutant is replaced by its parent's genome."""
-        pop = Population(capacity=self.schedule.population_size)
-        for ind in seeds:
-            pop.admit(ind)
-        while len(pop) < self.schedule.population_size \
-                and not any(m.exhausted() for m in meters):
+        pop = deque(seeds, maxlen=self.schedule.population_size)
+        while len(pop) < pop.maxlen and not any(m.exhausted() for m in meters):
             parent = seeds[int(self.rng.integers(len(seeds)))]
             cand = archspace.mutate(parent.genome, self.config, phase,
                                     self.schedule.mutations_per_step, self._seed())
@@ -303,11 +280,12 @@ class SearchEngine:
         for p in range(sched.multistart_populations):
             meters = [BudgetMeter(sched.multistart_budget), self.total_meter]
             pop = self.init_population(sched.multistart_population_size, meters)
-            if not pop.members:
-                raise RuntimeError("multi-start budget too small to seed a population")
+            if not pop:
+                raise ConfigError(f"schedule.multistart_budget or schedule.total_budget"
+                                  f" left multi-start population {p} empty")
             self.run_phase(pop, PHASE_TOPOLOGY, sched.multistart_tournament_size,
                            meters, crossover_allowed=sched.crossover_in_multistart)
-            best = pop.best("entropic")
+            best = max(pop, key=ranking("entropic"))
             seeds.append(best)
             self.log("multistart_done", population=p,
                      entropic=best.report.entropic,
@@ -325,7 +303,8 @@ class SearchEngine:
             pop = self.refill_population(seeds, phase, meters)
             self.run_phase(pop, phase, sched.tournament_size, meters)
             metric_name = METRIC_FOR_PHASE[phase]
-            top = pop.top(metric_name, sched.seeds_per_phase)
+            top = sorted(pop, key=ranking(metric_name),
+                         reverse=True)[:sched.seeds_per_phase]
             self.log("phase_done", phase=phase,
                      best={"entropic": top[0].report.entropic,
                            "logsynflow": top[0].report.logsynflow,

@@ -449,6 +449,17 @@ class TestCsvLoading:
                                  f"header's 3$"):
             load_benchmark_csv(p)
 
+    @pytest.mark.parametrize("row, cell", [
+        ("a,1.0,sixty", "accuracy 'sixty'"),
+        ("a,1.0,", "accuracy ''"),
+        ("a,one,60.0", "score_entropic 'one'")])
+    def test_non_number_names_file_row_and_column(self, tmp_path, row, cell):
+        p = tmp_path / "bench.csv"
+        p.write_text(f"id,score_entropic,accuracy\nb,2.0,70.0\n{row}\n")
+        with pytest.raises(CorrelationError,
+                           match=f"^{p} row 2: {cell} is not a number$"):
+            load_benchmark_csv(p)
+
     def test_trailing_comma_row_loads(self, tmp_path):
         p = tmp_path / "bench.csv"
         p.write_text("id,score_entropic,accuracy\na,1.0,60.0,\nb,2.0,70.0,,\n")

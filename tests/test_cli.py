@@ -647,27 +647,59 @@ class TestSearch:
             "of any genome in the space"]
         assert not out_dir.exists()
 
-    def test_no_draw_under_max_params_exits_2(self, tmp_path, monkeypatch,
-                                              capsys):
-        # above the least count, so the config check passes, but too close
-        # to it for any of the first 200 draws: this once exited 1
-        def never(*args, **kwargs):
-            raise AssertionError("a candidate was scored")
+    def test_tight_cap_takes_the_least_genome_and_exits_0(
+            self, tmp_path, monkeypatch, capsys):
+        # above the least count but too close to it for any of the first 200
+        # draws: an initial draw then takes the least genome (this exited 2).
+        # Scoring is stood in for by the count alone: real 16 px scoring here
+        # changes which pass of TestFreedMemory first reuses its pages
+        scored = []
 
-        monkeypatch.setattr(metrics, "score_genome", never)
+        def count_only(genome, space, *args, **kwargs):
+            scored.append(archspace.count_params(genome, space))
+            return metrics.ScoreReport(entropic=1.0, entropic_per_repeat=[1.0],
+                                       logsynflow=1.0, params=scored[-1],
+                                       macs=0, seeds=[0])
+
+        monkeypatch.setattr(metrics, "score_genome", count_only)
         space = archspace.SearchSpaceConfig(input_resolution=16).validate()
         least = archspace.least_params(space)
         assert least == 380_128
+        budget = {"kind": "evaluations", "amount": 2}
         p = tmp_path / "search.json"
-        p.write_text(json.dumps({"space": {"input_resolution": 16,
-                                           "max_params": least + 1000}}))
+        p.write_text(json.dumps({
+            "space": {"input_resolution": 16, "max_params": least + 1000},
+            "schedule": {
+                "multistart_populations": 1, "multistart_population_size": 2,
+                "multistart_tournament_size": 1, "population_size": 2,
+                "tournament_size": 1, "seeds_per_phase": 1,
+                "multistart_budget": budget, "phase_budget": budget,
+                "total_budget": {"kind": "evaluations", "amount": 6}}}))
+        out_dir = tmp_path / "run"
+        code, _, err = run(["search", "--config", str(p),
+                            "--budget-mode", "evals",
+                            "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "best_genome.json", "best_report.json", "history.ndjson",
+            "manifest.json"]
+        assert least in scored and max(scored) <= least + 1000
+
+    def test_multistart_population_without_member_exits_2(self, tmp_path,
+                                                          capsys):
+        # a wall-clock multistart_budget spent before the first draw: this
+        # exited 1 as an internal error
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps({"space": {"input_resolution": 16}, "schedule": {
+            "multistart_budget": {"kind": "wallclock_seconds", "amount": 1e-9},
+            "total_budget": {"kind": "wallclock_seconds", "amount": 5}}}))
         out_dir = tmp_path / "run"
         code, out, err = run(["search", "--config", str(p),
-                              "--budget-mode", "evals",
                               "--out", str(out_dir)], capsys)
         assert code == 2 and out == ""
-        assert json.loads(err)["error"]["details"] == [
-            "space: none of 200 random draws fits under max_params 381128"]
+        error = json.loads(err)["error"]
+        assert error["message"] == "invalid search configuration"
+        assert "multistart_budget" in error["details"][0]
         assert not (out_dir / "best_genome.json").exists()
 
     # The search of test_trajectory_is_pinned: per history event its values

@@ -11,11 +11,11 @@ from esnas.evolve import (
     Budget,
     BudgetMeter,
     Individual,
-    Population,
     SearchEngine,
     SearchSchedule,
     cyclic_search,
     genome_key,
+    ranking,
     tournament_select,
 )
 
@@ -27,6 +27,17 @@ def make_ind(entropic, birth, logsynflow=0.0):
         entropic=entropic, entropic_per_repeat=[entropic],
         logsynflow=logsynflow, params=1, macs=1, seeds=[0])
     return Individual(genome=None, report=report, birth_step=birth)
+
+
+def population(config, capacity, inds=()):
+    """The population refill_population builds from the seeds ``inds`` when
+    its budget is already spent."""
+    spent = BudgetMeter(Budget("evaluations", 1))
+    spent.consume()
+    schedule = eval_schedule(population_size=capacity,
+                             tournament_size=min(3, capacity))
+    return SearchEngine(config, schedule, seed=0).refill_population(
+        list(inds), PHASE_TOPOLOGY, [spent])
 
 
 def eval_schedule(**overrides):
@@ -71,7 +82,7 @@ class TestBudget:
             Budget("minutes", 5).validate()
         with pytest.raises(ValueError):
             Budget("evaluations", 0).validate()
-        # an infinite or NaN budget never runs out, wall-clock or not
+        # an infinite or NaN budget would never run out, wall-clock or not
         for kind in ("evaluations", "wallclock_seconds"):
             for amount in (math.inf, math.nan, True, "x"):
                 with pytest.raises(ValueError, match=f"amount must be a finite "
@@ -149,34 +160,34 @@ class TestSchedule:
 
 
 class TestPopulation:
-    def test_fifo_eviction_ignores_fitness(self):
-        pop = Population(capacity=3)
+    def test_fifo_eviction_ignores_fitness(self, tiny_config):
         # oldest member has the best score; it must still be evicted first
         scores = [9.0, 1.0, 2.0, 3.0]
-        for i, s in enumerate(scores):
-            pop.admit(make_ind(s, birth=i))
-        assert [m.birth_step for m in pop.members] == [1, 2, 3]
+        pop = population(tiny_config, 3,
+                         [make_ind(s, birth=i) for i, s in enumerate(scores)])
+        assert [m.birth_step for m in pop] == [1, 2, 3]
+        pop.append(make_ind(0.0, birth=4))  # as proposal_step admits
+        assert [m.birth_step for m in pop] == [2, 3, 4]
 
-    def test_best_and_top(self):
-        pop = Population(capacity=5)
-        for i, s in enumerate([3.0, 5.0, 1.0, 5.0]):
-            pop.admit(make_ind(s, birth=i))
-        assert pop.best("entropic").birth_step == 3  # tie goes to younger
-        assert [m.birth_step for m in pop.top("entropic", 2)] == [3, 1]
+    def test_best_and_top(self, tiny_config):
+        pop = population(tiny_config, 5, [make_ind(s, birth=i) for i, s
+                                          in enumerate([3.0, 5.0, 1.0, 5.0])])
+        # as multi_start and cyclic_search pick them; a tie goes to the younger
+        assert max(pop, key=ranking("entropic")).birth_step == 3
+        assert [m.birth_step for m in sorted(pop, key=ranking("entropic"),
+                                             reverse=True)[:2]] == [3, 1]
 
 
 class TestTournament:
-    def test_exhaustive_returns_global_best(self):
-        pop = Population(capacity=6)
-        for i, s in enumerate([1.0, 7.0, 3.0, 2.0]):
-            pop.admit(make_ind(s, birth=i))
+    def test_exhaustive_returns_global_best(self, tiny_config):
+        pop = population(tiny_config, 6, [make_ind(s, birth=i) for i, s
+                                          in enumerate([1.0, 7.0, 3.0, 2.0])])
         for seed in range(20):
             assert tournament_select(pop, 4, "entropic", seed).birth_step == 1
 
-    def test_k1_is_uniform(self):
-        pop = Population(capacity=4)
-        for i in range(4):
-            pop.admit(make_ind(float(i), birth=i))
+    def test_k1_is_uniform(self, tiny_config):
+        pop = population(tiny_config, 4,
+                         [make_ind(float(i), birth=i) for i in range(4)])
         n = 10_000
         counts = [0, 0, 0, 0]
         for seed in range(n):
@@ -185,18 +196,17 @@ class TestTournament:
         for c in counts:
             assert abs(c - n / 4) < 3 * sigma, counts
 
-    def test_tie_goes_to_younger(self):
-        pop = Population(capacity=2)
-        pop.admit(make_ind(5.0, birth=0))
-        pop.admit(make_ind(5.0, birth=1))
+    def test_tie_goes_to_younger(self, tiny_config):
+        pop = population(tiny_config, 2, [make_ind(5.0, birth=0),
+                                          make_ind(5.0, birth=1)])
         for seed in range(10):
             assert tournament_select(pop, 2, "entropic", seed).birth_step == 1
 
-    def test_errors(self):
-        pop = Population(capacity=2)
+    def test_errors(self, tiny_config):
+        pop = population(tiny_config, 2)
         with pytest.raises(ValueError, match="empty"):
             tournament_select(pop, 1, "entropic", 0)
-        pop.admit(make_ind(1.0, birth=0))
+        pop.append(make_ind(1.0, birth=0))
         with pytest.raises(ValueError, match="exceeds"):
             tournament_select(pop, 2, "entropic", 0)
 
@@ -207,7 +217,7 @@ class TestEvolutionStep:
         engine = SearchEngine(config, schedule, seed=0)
         meter = BudgetMeter(Budget("evaluations", 10_000))
         pop = engine.init_population(6, [meter])
-        initial = list(pop.members)
+        initial = list(pop)
         for _ in range(n_steps):
             engine.evolution_step(pop, phase, 3, [meter])
         return engine, pop, initial
@@ -238,13 +248,33 @@ class TestEvolutionStep:
         for ind in engine.evaluated:
             assert ind.report.params <= cap
 
-    def test_skipped_step_logged_when_no_feasible_child(self, tiny_config):
-        # cap below every genome: init_population cannot even start
+    def test_cap_below_every_genome_refused_at_construction(
+            self, tiny_config, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a candidate was scored")
+
+        monkeypatch.setattr(metrics, "score_genome", never)
         config = replace(tiny_config, max_params=10).validate()
-        schedule = eval_schedule()
-        engine = SearchEngine(config, schedule, seed=0)
-        with pytest.raises(RuntimeError, match="max_params"):
-            engine.random_feasible_genome(tries=10)
+        with pytest.raises(archspace.ConfigError,
+                           match=r"^space: max_params 10 is below 1160,"):
+            SearchEngine(config, eval_schedule(), seed=0)
+
+    def test_draws_that_all_miss_take_the_least_genome(self, tiny_config,
+                                                       monkeypatch):
+        least = archspace.least_params(tiny_config)
+        config = replace(tiny_config, max_params=least).validate()
+        engine = SearchEngine(config, eval_schedule(), seed=0)
+        calls = []
+        least_genome = archspace.least_genome
+        monkeypatch.setattr(archspace, "least_genome",
+                            lambda c: calls.append(c) or least_genome(c))
+        state = engine.rng.bit_generator.state
+        g = engine.random_feasible_genome(tries=0)
+        assert engine.rng.bit_generator.state == state  # no draw was made
+        assert engine.random_feasible_genome(tries=0) is g
+        assert calls == [config]  # computed once per engine
+        assert archspace.validate(g, config) == []
+        assert archspace.count_params(g, config) == least
 
 
 class TestMultiStart:
@@ -333,6 +363,8 @@ class TestCyclicSearch:
                 return original(*args, **kwargs)
             return call
 
+        # built first: its max_params check counts genomes that no draw made
+        engine = SearchEngine(tiny_config, eval_schedule(), seed=8)
         monkeypatch.setattr(SearchEngine, "feasible",
                             recording(checked, feasible, 1))
         monkeypatch.setattr(archspace, "count_params",
@@ -340,7 +372,6 @@ class TestCyclicSearch:
         monkeypatch.setattr(SearchEngine, "score", recording(evaluated, score, 1))
         monkeypatch.setattr(metrics, "score_genome",
                             recording(scored, score_genome, 0))
-        engine = SearchEngine(tiny_config, eval_schedule(), seed=8)
         engine.cyclic_search()
         assert sorted(counted) == sorted(set(checked))
         assert sorted(scored) == sorted(set(evaluated))
