@@ -651,8 +651,8 @@ class TestSearch:
             self, tmp_path, monkeypatch, capsys):
         # above the least count but too close to it for any of the first 200
         # draws: an initial draw then takes the least genome (this exited 2).
-        # Scoring is stood in for by the count alone: real 16 px scoring here
-        # changes which pass of TestFreedMemory first reuses its pages
+        # Scoring is stood in for by the count alone, which records the
+        # parameter count of each genome scored
         scored = []
 
         def count_only(genome, space, *args, **kwargs):
