@@ -130,6 +130,14 @@ def _section_problems(obj, prefix=""):
             for p in _problems(prefix + name, tp, lim, getattr(obj, name))]
 
 
+def _refuse_unknown(d, known, what, error=ValueError):
+    """Raise ``error`` naming each key of ``d`` that is not in ``known``."""
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise error(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                    f"known keys: {', '.join(known)}")
+
+
 class ConfigSection:
     """Base of the config dataclasses.  Each field declares its type by its
     annotation and its limits by ``bounded``; ``validate`` checks every
@@ -164,11 +172,7 @@ class ConfigSection:
         rather than being dropped for its default."""
         if not isinstance(d, dict):
             raise ConfigError(f"{section} must be a JSON object, got {d!r}")
-        known = [name for name, _, _ in _declared(cls)]
-        unknown = [k for k in d if k not in known]
-        if unknown:
-            raise ConfigError(f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
-                              f"known keys: {', '.join(known)}")
+        _refuse_unknown(d, [name for name, _, _ in _declared(cls)], section, ConfigError)
         missing = [f.name for f in fields(cls) if f.name not in d
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
@@ -323,12 +327,20 @@ class ArchGenome:
 
     @classmethod
     def from_dict(cls, d):
+        """From a genome JSON object; unknown keys and versions raise ValueError."""
         def gene(g):
             gene_cls = GENE_TYPES.get(g["type"])
             if gene_cls is None:
                 raise ValueError(f"unknown gene type {g['type']!r}")
+            _refuse_unknown(g, ("type", *gene_cls.__dataclass_fields__), f"{gene_cls.kind} gene")
             return gene_cls(**{f: g[f] for f in gene_cls.__dataclass_fields__})
 
+        if not isinstance(d, dict):
+            raise ValueError(f"a genome must be a JSON object, got {d!r}")
+        _refuse_unknown(d, ("schema_version", "config_ref", "stages"), "genome")
+        v = d.get("schema_version", SCHEMA_VERSION)
+        if type(v) is not int or v != SCHEMA_VERSION:  # true and 1.0 equal 1
+            raise ValueError(f"genome schema_version {v!r} is not {SCHEMA_VERSION}")
         return cls(stages=[[gene(g) for g in stage] for stage in d["stages"]],
                    config_ref=d.get("config_ref", ""))
 
@@ -356,10 +368,8 @@ def repair_channels(genome):
     Preserves the channel multiset; identity on already-monotone genomes.
     """
     chans = sorted(g.out_channels for _, _, g in genome.blocks())
-    stages = []
     it = iter(chans)
-    for stage in genome.stages:
-        stages.append([replace(g, out_channels=next(it)) for g in stage])
+    stages = [[replace(g, out_channels=next(it)) for g in stage] for stage in genome.stages]
     return ArchGenome(stages=stages, config_ref=genome.config_ref)
 
 
@@ -425,7 +435,7 @@ def mutate(genome, config, phase, n_mutations, seed):
              for f in g.searched if GENE_FIELDS[f][0] == phase]
     n = min(n_mutations, len(slots))
     chosen = [slots[i] for i in rng.choice(len(slots), size=n, replace=False)] if n else []
-    stages = [[replace(g) for g in stage] for stage in genome.stages]
+    stages = [list(stage) for stage in genome.stages]
     for si, bi, fname in chosen:
         stages[si][bi] = replace(stages[si][bi], **{fname: _draw(rng, config, si, fname)})
     return repair_channels(ArchGenome(stages=stages, config_ref=genome.config_ref))
@@ -443,13 +453,12 @@ def crossover(parent_a, parent_b, config, seed):
         genes = []
         for ga, gb in zip(stage_a, stage_b):
             if type(ga) is not type(gb):
-                genes.append(replace(ga if rng.random() < 0.5 else gb))
+                genes.append(ga if rng.random() < 0.5 else gb)
                 continue
             picks = {f: getattr(ga if rng.random() < 0.5 else gb, f) for f in ga.searched}
             genes.append(replace(ga, **picks))
         stages.append(genes)
-    child = ArchGenome(stages=stages, config_ref=parent_a.config_ref)
-    return repair_channels(child)
+    return repair_channels(ArchGenome(stages=stages, config_ref=parent_a.config_ref))
 
 
 def count_params(genome, config):

@@ -222,7 +222,8 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
 def load_benchmark_csv(path):
     """Parse a benchmark CSV into BenchmarkEntry rows."""
     entries = []
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the BOM that spreadsheets' "CSV UTF-8" export writes
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise CorrelationError(f"{path}: empty benchmark file")
@@ -230,6 +231,9 @@ def load_benchmark_csv(path):
         if "accuracy" not in cols:
             raise CorrelationError(f"{path}: missing 'accuracy' column")
         score_cols = [c for c in cols if c.startswith("score_")]
+        if "arch_json" not in cols and not score_cols:
+            raise CorrelationError(
+                f"{path}: neither an 'arch_json' nor a 'score_<metric>' column")
         for i, row in enumerate(reader):
             # DictReader leaves a short row's missing fields None, and lists
             # a long row's extra values (empty after a trailing comma) under

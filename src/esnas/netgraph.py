@@ -25,9 +25,10 @@ drops every value after its last consumer; given a seed, as an entropic
 repeat is, it draws each conv's weights as it reaches the conv, the draws
 ``reinit`` makes, and drops them once the conv has run.  Log-SynFlow
 redraws the layout with ``reinit``, as its backward needs every weight at
-once.  The backward drops each node's value and incoming gradient once that
-node's step has run, and hands each parameter gradient to ``reduce`` as
-soon as it exists.  ``one_blas_thread`` pins OpenBLAS to one thread.
+once; the redraw shares every other node with the layout.  The backward
+drops each node's value and incoming gradient once that node's step has
+run, and hands each parameter gradient to ``reduce`` as soon as it exists.
+``one_blas_thread`` pins OpenBLAS to one thread.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import contextlib
 import ctypes
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -63,27 +64,19 @@ class OpNode:
     params: list[np.ndarray] = field(default_factory=list)
     attrs: dict = field(default_factory=dict)
 
-    def copy(self):
-        return OpNode(self.kind, list(self.inputs), list(self.params),
-                      dict(self.attrs))
-
 
 @dataclass
 class Graph:
+    """A laid-out network, used as a value: only ``build_structure``, and
+    tests on the graphs they build, write into one.  Other weights make a
+    new graph with ``replace``, sharing every node, list and array it keeps."""
+
     nodes: list[OpNode]
     input_shape: tuple
     output_id: int
     activation_taps: list[int]
     out_shapes: list[tuple]
     norm_params: int = 0  # counted for the norms, which lay out no node
-
-    def copy(self):
-        """Copy of the graph structure; the nodes share the parameter arrays,
-        which every caller replaces rather than writes into."""
-        return Graph([n.copy() for n in self.nodes],
-                     tuple(self.input_shape),
-                     self.output_id, list(self.activation_taps),
-                     list(self.out_shapes), self.norm_params)
 
     def iter_params(self):
         """Yield (node_id, param_index, array) over all parameter tensors."""
@@ -418,12 +411,9 @@ def backward_param_grads(graph, reduce=None):
             ins = [x if i == INPUT else vals[i] for i in node.inputs]
             igrads, pg = _node_backward(node, ins, g)
             for src, ig in zip(node.inputs, igrads):
-                if src == INPUT:
-                    continue
-                if node_grads[src] is None:
-                    node_grads[src] = ig.copy()
-                else:
-                    node_grads[src] += ig
+                if src != INPUT:
+                    node_grads[src] = (ig if node_grads[src] is None
+                                       else node_grads[src] + ig)
             del ins, igrads
         # every consumer of this value has run its step before this one
         vals[nid] = g = None
@@ -433,14 +423,11 @@ def backward_param_grads(graph, reduce=None):
 
 
 def prepare_for_scoring(graph):
-    """A copy of a weighted graph with every parameter replaced by its
-    absolute value; the input graph is left untouched.  Scoring never
-    calls it, as its layouts and redraws are absolute already; it goes
-    once the benchmark harness (``perfbench``) stops naming it."""
-    g = graph.copy()
-    for node in g.nodes:
-        node.params = [np.abs(p) for p in node.params]
-    return g
+    """A new graph with every parameter made absolute.  Scoring never calls
+    it, as its layouts and redraws are absolute already; it goes once the
+    benchmark harness (``perfbench``) stops naming it."""
+    return replace(graph, nodes=[replace(n, params=[np.abs(p) for p in n.params])
+                                 for n in graph.nodes])
 
 
 def _uniform(rng, bound, shape):
@@ -463,7 +450,7 @@ def _draw(node, rng):
 
 
 def reinit(graph, seed):
-    """Redraw all weights as |U(-1/fan_in, +1/fan_in)|; returns a copy.
+    """A new graph with all weights redrawn as |U(-1/fan_in, +1/fan_in)|.
 
     Conv nodes draw in node order (``_draw``), and nothing else draws: the
     suppressed norms have no node and no parameter array.  A pass that needs
@@ -477,11 +464,8 @@ def reinit(graph, seed):
     float64, and scoring it raises ``FloatingPointError``.
     """
     rng = np.random.default_rng(seed)
-    g = graph.copy()
-    for node in g.nodes:
-        if node.kind == "conv2d":
-            node.params = _draw(node, rng)
-    return g
+    return replace(graph, nodes=[replace(n, params=_draw(n, rng))
+                                 if n.kind == "conv2d" else n for n in graph.nodes])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Each test prints a single PASS line naming the guarantee it certifies; a
 failing assertion doubles as the FAIL line in the pytest report.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -124,7 +125,7 @@ def test_scale_invariance_on_20_graphs():
         conv_ids = [i for i, n in enumerate(g.nodes) if n.kind == "conv2d"]
         target = conv_ids[seed % len(conv_ids)]
         for c in (0.5, 2.0, 10.0):
-            g2 = g.copy()
+            g2 = copy.deepcopy(g)
             g2.nodes[target].params = [p * c for p in g2.nodes[target].params]
             delta = abs(summed_entropy(g2, x) - base)
             assert delta < 1e-9 * max(abs(base), 1.0)

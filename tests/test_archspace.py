@@ -453,6 +453,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown gene type 'conv'"):
             ArchGenome.from_dict(d)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(stagess=[]), r"unknown genome key\(s\) 'stagess'"),
+        (lambda d: d["stages"][0][0].update(kernal_size=7),
+         r"unknown ffn gene key\(s\) 'kernal_size'"),
+        (lambda d: d.update(schema_version=7), "schema_version 7 is not 1$"),
+        (lambda d: d.update(schema_version=True), "schema_version True is not 1$")],
+        ids=["genome key", "gene key", "version", "boolean version"])
+    def test_undefined_key_or_version_rejected(self, tiny_config, edit,
+                                               message):
+        # a misspelt key would otherwise be dropped without a word
+        d = random_genome(tiny_config, 0).to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=message):
+            ArchGenome.from_dict(d)
+
+    def test_missing_schema_version_loads(self, tiny_config):
+        g = random_genome(tiny_config, 0)
+        d = g.to_dict()
+        del d["schema_version"]
+        assert ArchGenome.from_dict(d) == g
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ArchGenome.from_dict([])
+
     def test_schema_fields(self, tiny_config):
         d = random_genome(tiny_config, 0).to_dict()
         assert d["schema_version"] == 1

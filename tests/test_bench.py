@@ -420,6 +420,25 @@ class TestCsvLoading:
         assert len(entries) == 1
         assert entries[0].arch == g.to_json()
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, tiny_config):
+        # spreadsheets' "CSV UTF-8" export starts the file with a BOM, which
+        # would otherwise prefix the first column's name
+        g = random_genome(tiny_config, 0)
+        p = tmp_path / "bench.csv"
+        quoted = g.to_json().replace('"', '""')
+        p.write_text("\ufeffarch_json,accuracy\n" + f'"{quoted}",80.5\n',
+                     encoding="utf-8")
+        [entry] = load_benchmark_csv(p)
+        assert entry.arch == g.to_json() and entry.accuracy == 80.5
+
+    def test_no_genome_or_score_column(self, tmp_path):
+        p = tmp_path / "bench.csv"
+        p.write_text("id,accuracy\na,60.0\nb,70.0\n")
+        with pytest.raises(CorrelationError,
+                           match=f"^{p}: neither an 'arch_json' nor a "
+                                 "'score_<metric>' column$"):
+            load_benchmark_csv(p)
+
     def test_missing_accuracy_column(self, tmp_path):
         p = tmp_path / "bench.csv"
         p.write_text("id,score_entropic\na,1.0\n")

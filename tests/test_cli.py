@@ -121,7 +121,8 @@ class TestScore:
 
     @pytest.mark.parametrize("command", ["score", "stats"])
     @pytest.mark.parametrize("content", [
-        {"stages": [["x"]]}, {"stages": 5}, [1, 2]])
+        {"stages": [["x"]]}, {"stages": 5}, [1, 2], [],
+        {"stages": [], "stagess": []}])
     def test_malformed_genome_exits_2(self, tmp_path, space_file, command,
                                       content, capsys):
         bad = tmp_path / "bad.json"
@@ -987,6 +988,25 @@ class TestCorrelate:
                               "--out", str(out_path)], capsys)
         assert code == 0, err
         assert json.loads(out)["n"] == 4
+
+    def test_genome_row_with_an_undefined_key_is_skipped(
+            self, tmp_path, tiny_config, space_file, capsys):
+        rows = ["arch_json,accuracy"]
+        for s in range(3):
+            d = random_genome(tiny_config, s).to_dict()
+            if s == 1:
+                d["stages"][0][0]["kernal_size"] = 7
+            rows.append('"' + json.dumps(d).replace('"', '""') + f'",{60 + s}')
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        code, out, err = run(["correlate", "--bench", str(csv_path),
+                              "--metric", "entropic",
+                              "--config", str(space_file),
+                              "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 0, err
+        [skip] = json.loads(out)["skipped"]
+        assert skip["row"] == 2
+        assert "unknown ffn gene key(s) 'kernal_size'" in skip["reason"]
 
     def test_parallel_matches_serial(self, tmp_path, tiny_config, space_file,
                                      capsys, caplog):

@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import gc
 import json
@@ -241,7 +242,7 @@ class TestEntropicScore:
             monkeypatch.setattr(owner, name, counting)
 
         count(netgraph, "prepare_for_scoring")
-        count(netgraph.Graph, "copy")
+        count(netgraph, "reinit")
         entropic_score(structure, EntropicConfig(), [1, 2, 3])
         logsynflow(redraw)
         assert calls == []
@@ -270,7 +271,7 @@ class TestEntropicScore:
 
             base = summed_entropy(g)
             for c in (0.5, 2.0, 10.0):
-                g2 = g.copy()
+                g2 = copy.deepcopy(g)
                 g2.nodes[0].params = [p * c for p in g2.nodes[0].params]
                 assert abs(summed_entropy(g2) - base) <= 1e-9 * max(abs(base), 1)
 

@@ -509,7 +509,7 @@ class TestBuildGraph:
         graph = build_structure(random_genome(cfg, 0), cfg)
         assert {n.kind for n in graph.nodes} <= ENGINE_KINDS
         assert graph.norm_params == 2 * (2 * 64 + 16)
-        assert graph.copy().norm_params == graph.norm_params
+        assert reinit(graph, 0).norm_params == graph.norm_params
 
 
 class TestPrepare:
@@ -590,7 +590,7 @@ class TestHomogeneity:
             _, taps0 = forward(g, x)
             conv_ids = [i for i, n in enumerate(g.nodes) if n.kind == "conv2d"]
             target = conv_ids[seed % len(conv_ids)]
-            g2 = g.copy()
+            g2 = copy.deepcopy(g)
             g2.nodes[target].params = [p * c for p in g2.nodes[target].params]
             _, taps1 = forward(g2, x)
             for tid, t0, t1 in zip(g.activation_taps, taps0, taps1):
@@ -605,7 +605,7 @@ class TestHomogeneity:
             g = self.add_graph(seed)
             x = np.abs(rng.normal(0, 1, g.input_shape))
             _, taps0 = forward(g, x)
-            g2 = g.copy()
+            g2 = copy.deepcopy(g)
             g2.nodes[0].params = [p * c for p in g2.nodes[0].params]
             _, taps1 = forward(g2, x)
             for t0, t1 in zip(taps0, taps1):
@@ -654,6 +654,22 @@ class TestBackward:
         g = Graph(b.nodes, b.input_shape, x, [], b.shapes)
         for i, node in enumerate(g.nodes):
             rand_params(node, 70 + i)
+        assert_grads_close(backward_param_grads(g)[1], fd_param_grads(g))
+
+    def test_value_an_add_shares_is_read_after_the_add(self):
+        # both adds hand their one output gradient to each input, so q's
+        # incoming gradient is the very array p's starts as; r's step then
+        # adds into p's, which must leave q's as it was
+        b = _Builder((2, 3, 3))
+        p = b.conv(INPUT, 2, 2, 1)
+        q = b.conv(INPUT, 2, 2, 1)
+        r = b.conv(p, 2, 2, 1)
+        s = b.emit("add", [p, q], None, b.shape(p))
+        out = b.emit("add", [s, r], None, b.shape(p))
+        g = Graph(b.nodes, b.input_shape, out, [], b.shapes)
+        for i, node in enumerate(g.nodes):
+            node.params = [np.random.default_rng(80 + i).uniform(0, 1, a.shape)
+                           for a in node.params]
         assert_grads_close(backward_param_grads(g)[1], fd_param_grads(g))
 
     @staticmethod
@@ -764,11 +780,8 @@ class TestReinit:
 
 def filled(graph):
     """A copy of the graph whose parameters are writable arrays holding the
-    same values."""
-    g = graph.copy()
-    for node in g.nodes:
-        node.params = [np.array(p) for p in node.params]
-    return g
+    same values: a deep copy writes each read-only view out in full."""
+    return copy.deepcopy(graph)
 
 
 class TestWeightFreeStructure:
