@@ -171,23 +171,24 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
     otherwise the architecture is instantiated and only the named proxy is
     computed, in a pool of ``workers`` processes when ``workers > 1``, each
     scoring serially.  Rows without a finite score (the precomputed score is
-    NaN or infinite, the genome does not parse or validate, or the proxy
-    fails) are skipped, counted, logged and listed in the report with their
-    reason and row number (the entry's CSV row, else its position in
-    ``table`` from 1).
+    NaN or infinite, there is neither that score nor a genome, the genome
+    does not parse or validate, or the proxy fails) are skipped, counted,
+    logged and listed in the report with their reason and row number (the
+    entry's CSV row, else its position in ``table`` from 1).
     Pairs keep table order.
     """
     if not table:
         raise CorrelationError("benchmark table is empty")
     jobs = [(e.arch, metric_name, config, entropic_cfg, base_seed)
-            for e in table if metric_name not in e.precomputed_scores]
+            for e in table
+            if metric_name not in e.precomputed_scores and e.arch is not None]
     if workers > 1 and jobs:
         # workers fork with OpenBLAS at one thread, whatever the platform's
         # default start method, and score serially (a one-proxy row never
         # uses the helper): the pool keeps the cores busy
+        netgraph.one_blas_thread()
         fork = multiprocessing.get_context("fork")
-        with netgraph.one_blas_thread(), ProcessPoolExecutor(
-                workers, mp_context=fork) as pool:
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
             results = iter(list(pool.map(_score_row, jobs)))
     else:
         results = map(_score_row, jobs)
@@ -197,6 +198,8 @@ def correlate_benchmark(table, metric_name, config=None, entropic_cfg=None,
             score = float(entry.precomputed_scores[metric_name])
             reason = None if math.isfinite(score) else (
                 f"precomputed score_{metric_name} is {score!r}")
+        elif entry.arch is None:
+            reason = f"no score_{metric_name} value and no arch_json genome"
         else:
             score, reason = next(results)
         if reason is not None:
@@ -253,7 +256,7 @@ def load_benchmark_csv(path):
                 raise CorrelationError(
                     f"{path} row {i + 1}: accuracy {acc} outside [0, 100]")
             entries.append(BenchmarkEntry(
-                arch=row.get("arch_json"), accuracy=acc,
+                arch=row.get("arch_json") or None, accuracy=acc,
                 precomputed_scores=pre, row=i + 1))
     return entries
 

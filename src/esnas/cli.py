@@ -114,15 +114,20 @@ def _load_genome(path):
 
 
 class ManifestWriter:
-    def __init__(self, subcommand, config_obj, seed):
+    """A run's record: ``config_obj`` (with its hash) and ``seed`` rerun it,
+    together with any ``fields``, such as search's budget mode and preset."""
+
+    def __init__(self, subcommand, config_obj, seed, **fields):
         self.data = {
             "tool_version": __version__,
             "config_hash": hashlib.sha256(
                 canonical_json(config_obj).encode()).hexdigest(),
+            "config": config_obj,
             "master_seed": seed,
             "started_at": datetime.now(timezone.utc).isoformat(),
             "ended_at": None,
             "subcommand": subcommand,
+            **fields,
             "outputs": [],
         }
 
@@ -215,7 +220,8 @@ def cmd_search(args):
     genome_path, report_path, history_path, manifest_path = _output_paths(
         Path(args.out or "."), "best_genome.json", "best_report.json",
         "history.ndjson", "manifest.json")
-    manifest = ManifestWriter("search", cfg, args.seed)
+    manifest = ManifestWriter("search", cfg, args.seed,
+                              budget_mode=args.budget_mode, preset=args.preset)
 
     log.info("starting search: space=%s schedule=%s", space.ref(),
              schedule.to_dict())
@@ -244,7 +250,7 @@ def cmd_correlate(args):
         entries = bench.sample_entries(entries, args.sample, args.seed)
     space = _load_space(args.config) if args.config else None
     if space is None and any(args.metric not in e.precomputed_scores
-                             for e in entries):
+                             and e.arch is not None for e in entries):
         raise CliError(
             f"benchmark rows lack precomputed 'score_{args.metric}' values; "
             f"--config is required to instantiate architectures")

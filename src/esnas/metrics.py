@@ -4,8 +4,8 @@ An entropic forward draws each conv's weights as it reaches the conv,
 takes each tap's entropy as the tap is produced and frees each activation
 after its last use; log-SynFlow redraws the genome's layout, and its
 backward frees values and gradients behind it and reduces each parameter
-gradient to its term at once.  Scoring runs with OpenBLAS at one thread, and
-``score_genome`` runs a large candidate's log-SynFlow pass in a persistent
+gradient to its term at once.  ``score_genome`` sets OpenBLAS to one thread
+for good, and runs a large candidate's log-SynFlow pass in a persistent
 forked helper process beside its entropic repeats; whatever goes wrong with
 the helper, it is stopped and the calling thread runs the pass.
 """
@@ -102,7 +102,6 @@ def layer_entropy(normalized, epsilon):
     return max(-float(np.mean(t)), 0.0)
 
 
-@netgraph.one_blas_thread()
 def entropic_score(graph, cfg, seeds, return_per_repeat=False):
     """Average over repeats of the summed per-tap entropy of a scoring pass.
 
@@ -145,7 +144,6 @@ def _logsynflow_term(theta, grad):
     return float(np.sum(grad))
 
 
-@netgraph.one_blas_thread()
 def logsynflow(graph):
     """Sum over parameters of |theta| * ln(1 + |dR/dtheta|).
 
@@ -312,7 +310,6 @@ def _logsynflow_in_helper(genome, config, seed, wanted):
         _helper_lock.release()
 
 
-@netgraph.one_blas_thread()
 def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     """Proxy report for one candidate; deterministic in (genome, base_seed).
 
@@ -330,6 +327,7 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
     error of the helper's pass is raised here.  If anything else goes wrong
     with the helper, it is stopped and this thread runs the pass.
     """
+    netgraph.one_blas_thread()
     cfg = (cfg or EntropicConfig()).validate()
     if not proxies or not set(proxies) <= set(PROXIES):
         raise ValueError(f"proxies must name some of {PROXIES}, "

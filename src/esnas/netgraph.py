@@ -28,15 +28,14 @@ redraws the layout with ``reinit``, as its backward needs every weight at
 once; the redraw shares every other node with the layout.  The backward
 drops each node's value and incoming gradient once that node's step has
 run, and hands each parameter gradient to ``reduce`` as soon as it exists.
-``one_blas_thread`` pins OpenBLAS to one thread.
+``one_blas_thread`` sets OpenBLAS to one thread for the rest of the
+process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -471,8 +470,7 @@ def reinit(graph, seed):
 # ---------------------------------------------------------------------------
 # OpenBLAS threads
 
-_blas_lock = threading.Lock()
-_blas_users, _blas_saved, _blas_controls = 0, [], None
+_blas_controls = None  # (set, get) pairs, looked up on the first call
 
 
 def _find_blas_controls():
@@ -514,39 +512,22 @@ def _keep_freed_memory():
     return [mallopt(-1, 256 << 20), mallopt(-3, 32 << 20)] == [1, 1]
 
 
-@contextlib.contextmanager
 def one_blas_thread():
-    """Run the body (or, as a decorator, the function) with OpenBLAS at one
-    thread; a no-op without OpenBLAS.  Re-entrant and shared by threads: the
-    first to enter sets one thread, and the last to leave, by return or
-    raise, restores the counts found on entry.
-
-    A library already at one thread is not called: after a fork, any call
-    that sets the count restarts OpenBLAS's thread pool, whose new thread
-    spins for ~0.1 s of CPU.  A pool forked inside this context thus gets
-    workers that score at one thread without that cost.  The first entry
-    in a process, which looks OpenBLAS up, also has the process keep freed
-    memory (``_keep_freed_memory``).
-    """
-    global _blas_users, _blas_saved, _blas_controls
-    with _blas_lock:
-        if _blas_users == 0:
-            if _blas_controls is None:
-                _blas_controls = _find_blas_controls()
-                _keep_freed_memory()
-            _blas_saved = [(setter, n) for setter, getter in _blas_controls
-                           if (n := getter()) != 1]
-            for setter, _ in _blas_saved:
-                setter(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                for setter, n in _blas_saved:
-                    setter(n)
+    """Set every loaded OpenBLAS library to one thread for good; a no-op
+    without OpenBLAS.  A helper or pool forked afterwards inherits it.
+    A library already at one thread is not called: after a fork, a call
+    that sets the count restarts OpenBLAS's thread pool, which spins for
+    ~0.1 s of CPU.  The first call in a process looks OpenBLAS up and has
+    the process keep freed memory (``_keep_freed_memory``).  No lock: both
+    settings are process-wide and idempotent, so threads racing on the
+    first call only look OpenBLAS up twice."""
+    global _blas_controls
+    if _blas_controls is None:
+        _blas_controls = _find_blas_controls()
+        _keep_freed_memory()
+    for setter, getter in _blas_controls:
+        if getter() != 1:
+            setter(1)
 
 
 # ---------------------------------------------------------------------------

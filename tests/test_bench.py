@@ -297,7 +297,8 @@ class TestCorrelateBenchmark:
 
     def test_pool_workers_start_at_one_blas_thread(self, monkeypatch):
         """Workers inherit one OpenBLAS thread from the fork, so none has to
-        set it (which would restart OpenBLAS's thread pool in each)."""
+        set it (which would restart OpenBLAS's thread pool in each), and the
+        parent stays at one thread after the pool."""
         if not netgraph._find_blas_controls():
             pytest.skip("no OpenBLAS library is loaded")
         monkeypatch.setattr(bench, "_score_row", blas_threads_row)
@@ -312,7 +313,44 @@ class TestCorrelateBenchmark:
         finally:
             set_threads(before)
         assert [s for s, _ in pairs] == [1.0, 11.0, 21.0, 31.0]
-        assert after == 2
+        assert after == 1
+
+    def test_thread_count_is_set_once(self, tiny_config, monkeypatch,
+                                      tmp_path):
+        """After the first scoring call has set one thread, neither scoring
+        nor a pool sets a count again, in the parent or in a worker: any
+        such call after a fork restarts OpenBLAS's thread pool."""
+        if not netgraph._find_blas_controls():
+            pytest.skip("no OpenBLAS library is loaded")
+        set_threads, get_threads = netgraph._find_blas_controls()[0]
+        genome = random_genome(tiny_config, 0)
+        before = get_threads()
+        set_threads(2)
+        try:
+            metrics.score_genome(genome, tiny_config)
+            calls = tmp_path / "setter-calls"
+
+            def recorded(setter):
+                def record(n):
+                    with open(calls, "a") as fh:  # workers' calls too
+                        fh.write(f"{n}\n")
+                    setter(n)
+                return record
+
+            monkeypatch.setattr(netgraph, "_blas_controls", [
+                (recorded(setter), getter)
+                for setter, getter in netgraph._blas_controls])
+            for _ in range(2):
+                metrics.score_genome(genome, tiny_config)
+            table = [BenchmarkEntry(arch=random_genome(tiny_config, s).to_json(),
+                                    accuracy=float(50 + s)) for s in range(4)]
+            correlate_benchmark(table, "entropic", config=tiny_config,
+                                workers=2)
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert not calls.exists()
+        assert after == 1
 
     def test_pool_forks_whatever_the_default_start_method(self, monkeypatch):
         """Under a spawn default (forkserver is Python 3.14's on Linux) the

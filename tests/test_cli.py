@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -491,6 +492,81 @@ class TestSearch:
         report = json.loads((out_dir / "best_report.json").read_text())
         assert report["params"] <= cli.PRESETS["S0"]["max_params"]
 
+    def test_manifest_reruns_the_search(self, tmp_path, tiny_config, capsys):
+        """A search rerun from its manifest's budget mode, config and seed
+        alone writes the same outputs, and config_hash hashes that config."""
+        space = tiny_config.to_dict()
+        del space["max_params"]  # the preset's
+        budget = {"kind": "evaluations", "amount": 4}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"space": space, "schedule": {
+            "multistart_populations": 1, "multistart_budget": budget,
+            "phase_budget": budget, "total_budget": {"amount": 12},
+            "multistart_population_size": 3, "multistart_tournament_size": 2,
+            "population_size": 4, "tournament_size": 2}}))
+        code, _, err = run(["search", "--preset", "S0", "--config", str(p),
+                            "--budget-mode", "evals", "--seed", "5",
+                            "--out", str(tmp_path / "first")], capsys)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        assert (manifest["budget_mode"], manifest["preset"]) == ("evals", "S0")
+        assert manifest["config"]["space"]["max_params"] == 3_500_000
+        assert hashlib.sha256(cli.canonical_json(
+            manifest["config"]).encode()).hexdigest() == manifest["config_hash"]
+        p.write_text(json.dumps(manifest["config"]))
+        code, _, err = run(["search", "--budget-mode", manifest["budget_mode"],
+                            "--config", str(p),
+                            "--seed", str(manifest["master_seed"]),
+                            "--out", str(tmp_path / "rerun")], capsys)
+        assert code == 0, err
+        for name in ("best_genome.json", "best_report.json", "history.ndjson"):
+            assert ((tmp_path / "rerun" / name).read_bytes()
+                    == (tmp_path / "first" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("preset, max_params, phase, total", [
+        ("S0", 3_500_000, 300, 2700), ("S1", 6_000_000, 300, 2700),
+        ("S2", 12_500_000, 360, 3300)])
+    def test_wallclock_preset_config(self, preset, max_params, phase, total):
+        args = cli.build_parser().parse_args(["search", "--preset", preset])
+        assert cli._search_config(args) == {
+            "space": {"max_params": max_params},
+            "schedule": {f"{name}_budget": {"kind": "wallclock_seconds",
+                                            "amount": amount}
+                         for name, amount in (("multistart", 180),
+                                              ("phase", phase),
+                                              ("total", total))},
+            "entropic": {}}
+
+    @pytest.mark.parametrize("preset", [None, "S0", "S1", "S2"])
+    def test_evals_config(self, preset):
+        argv = ["search", "--budget-mode", "evals"]
+        args = cli.build_parser().parse_args(
+            argv + (["--preset", preset] if preset else []))
+        assert cli._search_config(args) == {
+            "space": ({"max_params": cli.PRESETS[preset]["max_params"]}
+                      if preset else {}),
+            "schedule": {f"{name}_budget": {"kind": "evaluations",
+                                            "amount": amount}
+                         for name, amount in (("multistart", 30),
+                                              ("phase", 60), ("total", 400))},
+            "entropic": {}}
+
+    def test_wallclock_config_without_preset_sets_no_budgets(self):
+        args = cli.build_parser().parse_args(["search"])
+        assert cli._search_config(args) == {
+            "space": {}, "schedule": {}, "entropic": {}}
+
+    @pytest.mark.parametrize("mode, kind", [
+        ("evals", "evaluations"), ("wallclock", "wallclock_seconds")])
+    def test_config_amount_keeps_the_modes_kind(self, tmp_path, mode, kind):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"schedule": {"phase_budget": {"amount": 7}}}))
+        args = cli.build_parser().parse_args(
+            ["search", "--preset", "S1", "--budget-mode", mode,
+             "--config", str(p)])
+        assert cli._search_config(args)["schedule"]["phase_budget"] == {
+            "kind": kind, "amount": 7}
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"space": {"kernel_domain": [4]}}))
@@ -960,6 +1036,33 @@ class TestCorrelate:
         assert report["n"] == 2 and report["kendall_tau"] == 1.0
         assert report["skipped"] == [{
             "row": 2, "reason": "precomputed score_entropic is nan"}]
+
+    @pytest.mark.parametrize("header, rows", [
+        ("id,score_entropic,accuracy", ["a,1.0,60", "b,,70", "c,3.0,80"]),
+        ("arch_json,score_entropic,accuracy", [",1.0,60", ",,70", ",3.0,80"])])
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_row_with_neither_score_nor_genome_is_skipped(
+            self, tmp_path, space_file, capsys, header, rows, with_config):
+        """Such a row is skipped with its reason, and without --config, as
+        no row has a genome to score."""
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("\n".join([header] + rows) + "\n")
+        config = ["--config", str(space_file)] if with_config else []
+        code, out, err = run(["correlate", "--bench", str(csv_path),
+                              "--metric", "entropic", *config,
+                              "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["n"] == 2 and report["skipped"] == [{
+            "row": 2,
+            "reason": "no score_entropic value and no arch_json genome"}]
+        # no row has a log-SynFlow score: each is skipped, none scored
+        code, _, err = run(["correlate", "--bench", str(csv_path),
+                            "--metric", "logsynflow", *config,
+                            "--out", str(tmp_path / "l.json")], capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["details"] == [
+            "fewer than 2 usable rows (3 skipped)"]
 
     def test_genome_rows_require_config(self, tmp_path, tiny_config, capsys):
         g = random_genome(tiny_config, 0)
