@@ -5,7 +5,8 @@ reruns with identical config, seed and evaluation budgets are byte-identical.
 ``search`` and ``correlate`` write a manifest beside their outputs; ``score``
 writes only its ``--out`` report and ``stats`` only prints.  Every output path
 is checked, and its directory created, before any input is scored.  Exit
-codes: 0 ok, 1 internal error, 2 invalid input.
+codes: 0 ok, 1 internal error, 2 invalid input (``score``: a genome whose
+proxy is not finite, too).
 """
 
 from __future__ import annotations
@@ -146,7 +147,10 @@ def cmd_score(args):
     if args.out:
         out = Path(args.out)
         out_path, = _output_paths(out.parent, out.name)
-    report = metrics.score_genome(genome, space, base_seed=args.seed)
+    try:
+        report = metrics.score_genome(genome, space, base_seed=args.seed)
+    except FloatingPointError as e:
+        raise CliError("a proxy of the genome is not finite", [str(e)])
     text = report.to_json()
     if args.out:
         atomic_write(out_path, text + "\n")
@@ -257,9 +261,10 @@ def cmd_correlate(args):
     out = Path(args.out or "report.json")
     out_path, scatter_path, manifest_path = _output_paths(
         out.parent, out.name, "scatter.csv", "manifest.json")
-    manifest = ManifestWriter("correlate",
-                              {"bench": str(args.bench), "metric": args.metric},
-                              args.seed)
+    manifest = ManifestWriter("correlate", {
+        "bench": str(args.bench), "metric": args.metric,
+        "space": space.to_dict() if space else None, "sample": args.sample,
+        "workers": args.workers}, args.seed)
     try:
         report, pairs = bench.correlate_benchmark(
             entries, args.metric, config=space, base_seed=args.seed,

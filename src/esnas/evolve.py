@@ -8,11 +8,12 @@ bounded deque, so replacement is aging: it evicts the oldest, never the worst.
 
 Initial draws, phase refills and evolution steps are all proposal steps
 (``SearchEngine.proposal_step``): each charges one evaluation to its
-budget meters and advances ``step``, then scores, records and admits its
-genome, if any.  They differ only in how they draw a genome and in what
-they do with one over ``max_params``: an initial draw is retried, then
-takes the space's least genome, a refill mutant falls back to its parent's
-genome, and an evolution child is resampled, then the step is skipped.
+budget meters and advances ``step``, then records and admits its genome,
+if it has one with a report.  They differ only in how they draw a genome
+and in what they do with an infeasible one, which is over ``max_params``
+or failed its evaluation: an initial draw is retried, then takes the
+space's least genome, a refill mutant falls back to its parent's genome,
+and an evolution child is resampled, then the step is skipped.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import archspace, metrics
-from .archspace import PHASE_SIZE, PHASE_TOPOLOGY, ConfigError, ConfigSection, bounded
+from .archspace import (PHASE_SIZE, PHASE_TOPOLOGY, ConfigError, ConfigSection,
+                        bounded, genome_hash)
 
 METRIC_FOR_PHASE = {PHASE_TOPOLOGY: "entropic", PHASE_SIZE: "logsynflow"}
 
@@ -139,10 +141,13 @@ def genome_key(genome):
 class SearchEngine:
     """One search's step counter, budget meters, history log and memo.
 
-    A report depends only on the genome, space, entropic config and
-    scoring_seed, not on the search seed, so ``memo`` (genome_key to
-    ``[params, report or None]``) may be shared between engines that agree
-    on those three.  A wall-clock total budget counts from construction."""
+    ``score`` is the one answer per genome: ``memo`` maps its genome_key to
+    its report, or to None when it is over max_params or its evaluation
+    raised FloatingPointError (logged once, as ``eval_failed``).  A report
+    depends only on the genome, space, entropic config and scoring_seed,
+    not on the search seed, so ``memo`` may be shared between engines that
+    agree on those three.  A wall-clock total budget counts from
+    construction."""
 
     def __init__(self, config, schedule, seed, entropic_cfg=None):
         if config.max_params < (least := archspace.least_params(config)):
@@ -162,18 +167,20 @@ class SearchEngine:
     # -- scoring ---------------------------------------------------------
 
     def score(self, genome):
-        key = genome_key(genome)
-        if self.memo.get(key, (None, None))[1] is None:
-            report = metrics.score_genome(genome, self.config, self.entropic_cfg,
-                                          base_seed=self.schedule.scoring_seed)
-            self.memo[key] = [report.params, report]
-        return self.memo[key][1]
+        if (key := genome_key(genome)) in self.memo:
+            return self.memo[key]
+        report = None
+        if archspace.count_params(genome, self.config) <= self.config.max_params:
+            try:
+                report = metrics.score_genome(genome, self.config, self.entropic_cfg,
+                                              base_seed=self.schedule.scoring_seed)
+            except FloatingPointError as e:
+                self.log("eval_failed", genome_hash=genome_hash(genome), reason=str(e))
+        self.memo[key] = report  # only now: any other error leaves no answer
+        return report
 
     def feasible(self, genome):
-        key = genome_key(genome)
-        if key not in self.memo:
-            self.memo[key] = [archspace.count_params(genome, self.config), None]
-        return self.memo[key][0] <= self.config.max_params
+        return self.score(genome) is not None
 
     def _seed(self):
         return int(self.rng.integers(2**63))
@@ -196,16 +203,15 @@ class SearchEngine:
 
     def proposal_step(self, pop, meters, genome):
         """Charge one evaluation to every meter and advance ``step``; then,
-        unless ``genome`` is None (a skipped step), score it, record it in
-        ``evaluated`` and admit it to ``pop``.  Returns the admitted
+        unless ``genome`` is None or has no report (a skipped step), record
+        it in ``evaluated`` and admit it to ``pop``.  Returns the admitted
         individual, or None."""
         for m in meters:
             m.consume()
         self.step += 1
-        if genome is None:
+        if genome is None or (report := self.score(genome)) is None:
             return None
-        ind = Individual(genome=genome, report=self.score(genome),
-                         birth_step=self.step)
+        ind = Individual(genome=genome, report=report, birth_step=self.step)
         self.evaluated.append(ind)
         pop.append(ind)
         return ind
@@ -282,7 +288,8 @@ class SearchEngine:
             pop = self.init_population(sched.multistart_population_size, meters)
             if not pop:
                 raise ConfigError(f"schedule.multistart_budget or schedule.total_budget"
-                                  f" left multi-start population {p} empty")
+                                  f" left multi-start population {p} empty, or"
+                                  f" every genome proposed to it failed its evaluation")
             self.run_phase(pop, PHASE_TOPOLOGY, sched.multistart_tournament_size,
                            meters, crossover_allowed=sched.crossover_in_multistart)
             best = max(pop, key=ranking("entropic"))

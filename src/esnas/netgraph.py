@@ -609,15 +609,10 @@ def _append_mhsa(b, src, cin, heads, head_dim):
     hd = heads * head_dim
     _, hs, ws = b.shape(src)
     length = hs * ws
-    q = b.conv(src, cin, hd, 1)
-    k = b.conv(src, cin, hd, 1)
-    v = b.conv(src, cin, hd, 1)
-    q = b.emit("reshape", [q], None, (heads, head_dim, length),
-               shape=(heads, head_dim, length))
-    k = b.emit("reshape", [k], None, (heads, head_dim, length),
-               shape=(heads, head_dim, length))
-    v = b.emit("reshape", [v], None, (heads, head_dim, length),
-               shape=(heads, head_dim, length))
+    split = (heads, head_dim, length)
+    # the three convs, then their reshapes
+    q, k, v = [b.emit("reshape", [x], None, split, shape=split)
+               for x in [b.conv(src, cin, hd, 1) for _ in range(3)]]
     scores = b.emit("matmul", [q, k], None, (heads, length, length),
                     transpose_a=True, transpose_b=False)
     scores = b.emit("scale", [scores], None, (heads, length, length),

@@ -12,6 +12,7 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,26 @@ class TestScore:
         assert "validation" in payload["error"]["message"]
         assert any("decreasing channels" in d
                    for d in payload["error"]["details"])
+
+    def test_non_finite_proxy_exits_2_naming_it(self, tmp_path, capsys):
+        # 20 attention blocks overflow the entropic pass: this exited 1 as an
+        # internal error
+        space = archspace.SearchSpaceConfig.from_dict({
+            "input_resolution": 16, "num_stages": 2, "blocks_per_stage": [2, 20],
+            "channel_domain": [[16], [16]], "attention_stages": [2],
+            "attention_probability": 1.0})
+        space_path, arch_path = tmp_path / "space.json", tmp_path / "genome.json"
+        space_path.write_text(json.dumps(space.to_dict()))
+        arch_path.write_text(random_genome(space, 0).to_json())
+        out_path = tmp_path / "report.json"
+        with np.errstate(all="ignore"):
+            code, out, err = run(["score", "--arch", str(arch_path), "--config",
+                                  str(space_path), "--out", str(out_path)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "message": "a proxy of the genome is not finite",
+            "details": ["non-finite entropy sum in repeat 0 (seed 3937098906)"]}
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["score", "stats"])
     @pytest.mark.parametrize("content", [
@@ -762,6 +783,69 @@ class TestSearch:
             "manifest.json"]
         assert least in scored and max(scored) <= least + 1000
 
+    # ROADMAP item 4's space: 16 px, attention in stage 2 at probability
+    # 1.0, an entropic input of about 1e150, which overflows most genomes
+    FAILING_CONFIG = {
+        "space": {"input_resolution": 16, "num_stages": 2,
+                  "blocks_per_stage": [2, 2],
+                  "channel_domain": [[16, 24, 32], [32, 48, 64]],
+                  "attention_stages": [2], "attention_probability": 1.0},
+        "entropic": {"input_low": -1e150, "input_high": 1e150},
+        "schedule": {
+            "multistart_populations": 2, "multistart_population_size": 3,
+            "multistart_tournament_size": 2, "population_size": 4,
+            "tournament_size": 2, "seeds_per_phase": 1,
+            "multistart_budget": {"kind": "evaluations", "amount": 4},
+            "phase_budget": {"kind": "evaluations", "amount": 4},
+            "total_budget": {"kind": "evaluations", "amount": 16}}}
+
+    def test_failed_evaluations_are_infeasible(self, tmp_path, capsys):
+        # this exited 1 at the first scoring, leaving --out empty
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps(self.FAILING_CONFIG))
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            with np.errstate(all="ignore"):
+                code, _, err = run(["search", "--config", str(p), "--budget-mode",
+                                    "evals", "--out", str(d)], capsys)
+            assert code == 0, err
+            assert sorted(f.name for f in d.iterdir()) == [
+                "best_genome.json", "best_report.json", "history.ndjson",
+                "manifest.json"]
+        for name in ("best_genome.json", "best_report.json", "history.ndjson"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+        history = [json.loads(line) for line in
+                   (dirs[0] / "history.ndjson").read_text().splitlines()]
+        failed = [e for e in history if e["event"] == "eval_failed"]
+        assert failed and all(
+            e["reason"].startswith("non-finite entropy sum in repeat ")
+            for e in failed)
+        hashes = [e["genome_hash"] for e in failed]
+        assert len(set(hashes)) == len(hashes)  # each is scored once
+        best = archspace.ArchGenome.from_json(
+            (dirs[0] / "best_genome.json").read_text())
+        assert archspace.genome_hash(best) not in hashes
+        assert history[-1]["event"] == "search_done"
+
+    def test_any_other_scoring_error_exits_1(self, tmp_path, search_config_file,
+                                             monkeypatch, capsys):
+        calls = []
+        score_genome = metrics.score_genome
+
+        def broken_at_the_7th(*args, **kwargs):
+            calls.append(True)
+            if len(calls) == 7:
+                raise ValueError("not a failed evaluation")
+            return score_genome(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "score_genome", broken_at_the_7th)
+        code, out, err = run(["search", "--config", str(search_config_file),
+                              "--budget-mode", "evals",
+                              "--out", str(tmp_path / "run")], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["message"] == (
+            "internal error: not a failed evaluation")
+
     def test_multistart_population_without_member_exits_2(self, tmp_path,
                                                           capsys):
         # a wall-clock multistart_budget spent before the first draw: this
@@ -1201,6 +1285,36 @@ class TestCorrelate:
         started = datetime.fromisoformat(manifest["started_at"])
         ended = datetime.fromisoformat(manifest["ended_at"])
         assert started <= called < ended
+
+    def test_manifest_records_the_run(self, tmp_path, tiny_config, space_file,
+                                      capsys):
+        csv_path = tmp_path / "bench.csv"
+        csv_path.write_text("arch_json,accuracy\n" + "".join(
+            '"{}",{}\n'.format(
+                random_genome(tiny_config, s).to_json().replace('"', '""'),
+                50.0 + s) for s in range(3)))
+
+        def manifest(space, *flags):
+            out = tmp_path / str(len(list(tmp_path.iterdir()))) / "report.json"
+            code, _, err = run(["correlate", "--bench", str(csv_path),
+                                "--metric", "entropic", "--config", str(space),
+                                "--out", str(out), *flags], capsys)
+            assert code == 0, err
+            return json.loads((out.parent / "manifest.json").read_text())
+
+        m = manifest(space_file, "--sample", "2", "--workers", "2")
+        assert m["config"] == {"bench": str(csv_path), "metric": "entropic",
+                               "space": tiny_config.to_dict(), "sample": 2,
+                               "workers": 2}
+        assert m["config_hash"] == hashlib.sha256(
+            cli.canonical_json(m["config"]).encode()).hexdigest()
+        wider = tmp_path / "wider.json"
+        wider.write_text(json.dumps({**tiny_config.to_dict(), "max_params": 10**8}))
+        first, other = manifest(space_file), manifest(wider)
+        assert first["config"]["space"] == tiny_config.to_dict()
+        assert (first["config"]["sample"], first["config"]["workers"]) == (None, 1)
+        assert other["config"]["space"]["max_params"] == 10**8
+        assert first["config_hash"] != other["config_hash"]
 
     def test_skipped_rows_keep_csv_row_numbers(self, tmp_path, space_file,
                                                capsys, caplog):

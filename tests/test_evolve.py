@@ -393,6 +393,119 @@ class TestCyclicSearch:
         assert shared == [search(seed) for seed in range(5)]
 
 
+def inject_failures(monkeypatch, fails):
+    """Make metrics.score_genome raise FloatingPointError at each call n
+    (from 1) for which fails(n) holds; returns every call's genome."""
+    calls = []
+    score_genome = metrics.score_genome
+
+    def scoring(genome, *args, **kwargs):
+        calls.append(genome)
+        if fails(len(calls)):
+            raise FloatingPointError(f"injected at scoring {len(calls)}")
+        return score_genome(genome, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "score_genome", scoring)
+    return calls
+
+
+class TestFailedEvaluation:
+    """A FloatingPointError from scoring makes a genome infeasible."""
+
+    def test_is_memoised_as_infeasible_and_logged(self, tiny_config,
+                                                   monkeypatch):
+        engine = SearchEngine(tiny_config, eval_schedule(), seed=0)
+        calls = inject_failures(monkeypatch, lambda n: True)
+        g = archspace.random_genome(tiny_config, 0)
+        assert engine.score(g) is None
+        assert not engine.feasible(g)
+        assert len(calls) == 1  # not scored again
+        assert engine.memo == {genome_key(g): None}
+        assert engine.history == [{
+            "event": "eval_failed", "step": 0,
+            "genome_hash": archspace.genome_hash(g),
+            "reason": "injected at scoring 1"}]
+
+    def test_any_other_error_propagates_and_leaves_no_answer(
+            self, tiny_config, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a failed evaluation")
+
+        engine = SearchEngine(tiny_config, eval_schedule(), seed=0)
+        monkeypatch.setattr(metrics, "score_genome", broken)
+        with pytest.raises(ValueError, match="not a failed evaluation"):
+            engine.score(archspace.random_genome(tiny_config, 0))
+        assert engine.memo == {} and engine.history == []
+
+    def test_injected_failure_at_the_7th_scoring(self, tiny_config,
+                                                 monkeypatch):
+        def search():
+            engine = SearchEngine(tiny_config, eval_schedule(), seed=8)
+            calls = inject_failures(monkeypatch, lambda n: n == 7)
+            best, history = engine.cyclic_search()
+            return engine, calls, best, history
+
+        engine, calls, best, history = search()
+        failed = calls[6]
+        [event] = [e for e in history if e["event"] == "eval_failed"]
+        assert {k: v for k, v in event.items() if k != "step"} == {
+            "event": "eval_failed", "genome_hash": archspace.genome_hash(failed),
+            "reason": "injected at scoring 7"}
+        assert history[-1]["event"] == "search_done"
+        assert engine.memo[genome_key(failed)] is None
+        jsons = [g.to_json() for g in calls]
+        assert len(set(jsons)) == len(jsons)  # the failed genome is scored once
+        assert failed.to_json() not in {i.genome.to_json() for i in engine.evaluated}
+        monkeypatch.undo()  # the rerun injects its own 7th failure
+        _, _, best_again, history_again = search()
+        assert history_again == history and best_again.genome == best.genome
+
+    def test_failed_refill_mutant_falls_back_to_its_parent(self, tiny_config,
+                                                           monkeypatch):
+        engine = SearchEngine(tiny_config, eval_schedule(), seed=0)
+        meter = BudgetMeter(Budget("evaluations", 10_000))
+        seeds = list(engine.init_population(3, [meter]))
+        inject_failures(monkeypatch, lambda n: True)
+        pop = engine.refill_population(seeds, PHASE_SIZE, [meter])
+        assert len(pop) == engine.schedule.population_size
+        assert {m.genome.to_json() for m in pop} <= {
+            s.genome.to_json() for s in seeds}
+        assert any(e["event"] == "eval_failed" for e in engine.history)
+
+    def test_failed_evolution_child_is_resampled_then_skipped(
+            self, tiny_config, monkeypatch):
+        engine = SearchEngine(tiny_config, eval_schedule(infeasible_retries=3),
+                              seed=0)
+        meter = BudgetMeter(Budget("evaluations", 10_000))
+        pop = engine.init_population(4, [meter])
+        members, step = list(pop), engine.step
+        engine.memo.clear()  # so that a child equal to a member fails too
+        calls = inject_failures(monkeypatch, lambda n: True)
+        engine.evolution_step(pop, PHASE_TOPOLOGY, 2, [meter])
+        assert list(pop) == members and engine.step == step + 1
+        assert engine.history[-1] == {"event": "step_skipped", "step": step + 1,
+                                      "phase": PHASE_TOPOLOGY,
+                                      "reason": "infeasible"}
+        # 4 draws, each scored once unless an earlier draw was the same genome
+        assert len(calls) == len(engine.memo) and 1 <= len(calls) <= 4
+        assert sum(e["event"] == "eval_failed"
+                   for e in engine.history) == len(calls)
+
+    def test_failed_least_genome_is_a_skipped_draw(self, tiny_config,
+                                                   monkeypatch):
+        least = archspace.least_params(tiny_config)
+        config = replace(tiny_config, max_params=least).validate()
+        engine = SearchEngine(config, eval_schedule(), seed=0)
+        inject_failures(monkeypatch, lambda n: True)
+        meter = BudgetMeter(Budget("evaluations", 3))
+        assert not engine.init_population(2, [meter])
+        assert engine.step == 3 and engine.evaluated == []
+        assert engine.memo[genome_key(engine.least_genome)] is None
+        with pytest.raises(archspace.ConfigError,
+                           match="every genome proposed to it failed"):
+            SearchEngine(config, eval_schedule(), seed=0).multi_start()
+
+
 class TestGenomeKey:
     def test_equal_exactly_when_the_json_is(self, tiny_config, attn_config):
         genomes = (enumerate_space(tiny_config)
