@@ -500,8 +500,3 @@ def least_genome(config):
             counts.append(count_params(genome, config))
         genome.stages[si][bi] = options[si][counts.index(min(counts))]
     return genome
-
-
-def least_params(config):
-    """The least parameter count of any genome of the space."""
-    return count_params(least_genome(config), config)

@@ -230,7 +230,10 @@ def cmd_search(args):
     log.info("starting search: space=%s schedule=%s", space.ref(),
              schedule.to_dict())
     best, history = engine.cyclic_search()
-
+    events = [ev["event"] for ev in history]
+    manifest.data.update(evaluations=engine.step,
+                         failed_evaluations=events.count("eval_failed"),
+                         steps_skipped=events.count("step_skipped"))
     atomic_write(genome_path, best.genome.to_json() + "\n")
     atomic_write(report_path, best.report.to_json() + "\n")
     atomic_write(history_path,

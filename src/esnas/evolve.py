@@ -22,7 +22,6 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -150,7 +149,9 @@ class SearchEngine:
     construction."""
 
     def __init__(self, config, schedule, seed, entropic_cfg=None):
-        if config.max_params < (least := archspace.least_params(config)):
+        self.least_genome = archspace.least_genome(config)
+        least = archspace.count_params(self.least_genome, config)
+        if config.max_params < least:
             raise ConfigError(
                 f"space: max_params {config.max_params} is below {least}, the "
                 f"least parameter count of any genome in the space")
@@ -189,10 +190,6 @@ class SearchEngine:
         self.history.append({"event": event, "step": self.step, **fields})
 
     # -- population construction ----------------------------------------
-
-    @cached_property
-    def least_genome(self):
-        return archspace.least_genome(self.config)
 
     def random_feasible_genome(self, tries=200):
         for _ in range(tries):

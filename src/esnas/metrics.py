@@ -6,8 +6,8 @@ after its last use; log-SynFlow redraws the genome's layout, and its
 backward frees values and gradients behind it and reduces each parameter
 gradient to its term at once.  ``score_genome`` sets OpenBLAS to one thread
 for good, and runs a large candidate's log-SynFlow pass in a persistent
-forked helper process beside its entropic repeats; whatever goes wrong with
-the helper, it is stopped and the calling thread runs the pass.
+forked helper process beside its entropic repeats; a helper that cannot be
+started, sent to or read from is stopped and the calling thread runs the pass.
 """
 
 from __future__ import annotations
@@ -102,8 +102,14 @@ def layer_entropy(normalized, epsilon):
     return max(-float(np.mean(t)), 0.0)
 
 
-def entropic_score(graph, cfg, seeds, return_per_repeat=False):
-    """Average over repeats of the summed per-tap entropy of a scoring pass.
+# a pass's finiteness checks are its one failure rule, which numpy need not echo
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_quiet
+def entropic_score(graph, cfg, seeds):
+    """``(score, per_repeat)``: the summed per-tap entropy of a scoring pass,
+    averaged over repeats, and each repeat's sum.
 
     Each repeat re-initialises the weights and redraws the input from its own
     seed; a repeat whose entropy sum is not finite raises FloatingPointError.
@@ -128,10 +134,7 @@ def entropic_score(graph, cfg, seeds, return_per_repeat=False):
         if not np.isfinite(per_repeat[-1]):
             raise FloatingPointError(
                 f"non-finite entropy sum in repeat {r} (seed {seed})")
-    score = float(np.mean(per_repeat))
-    if return_per_repeat:
-        return score, per_repeat
-    return score
+    return float(np.mean(per_repeat)), per_repeat
 
 
 def _logsynflow_term(theta, grad):
@@ -144,6 +147,7 @@ def _logsynflow_term(theta, grad):
     return float(np.sum(grad))
 
 
+@_quiet
 def logsynflow(graph):
     """Sum over parameters of |theta| * ln(1 + |dR/dtheta|).
 
@@ -211,11 +215,9 @@ class _Helper:
 
 
 def _serve(conn, caller_end):
-    """The helper process: answer requests until the caller's end closes.
-    The pass is score_genome's own: the same layout and redraw, so the
-    same value.  A reply that cannot be sent (the caller is
-    gone, or the error does not pickle) ends the helper, and the caller
-    reruns the pass."""
+    """The helper process: run score_genome's pass on the same layout until
+    the caller's end closes.  A reply that cannot be sent (the caller is
+    gone, or the error does not pickle) ends it; the caller reruns the pass."""
     caller_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     while True:
@@ -224,7 +226,8 @@ def _serve(conn, caller_end):
         except EOFError:
             return
         try:
-            reply = (_logsynflow_pass(genome, config, seed), None)
+            reply = (_logsynflow_pass(
+                netgraph.build_structure(genome, config), seed), None)
         except Exception as e:  # noqa: BLE001 - the caller raises it
             # without its traceback, which would keep the pass's arrays
             reply = (None, e.with_traceback(None))
@@ -234,9 +237,8 @@ def _serve(conn, caller_end):
             return
 
 
-def _logsynflow_pass(genome, config, seed):
-    return logsynflow(netgraph.reinit(
-        netgraph.build_structure(genome, config), seed))
+def _logsynflow_pass(structure, seed):
+    return logsynflow(netgraph.reinit(structure, seed))
 
 
 def _stop_helper():
@@ -267,46 +269,53 @@ os.register_at_fork(after_in_child=_forget_helper)
 
 
 @contextlib.contextmanager
+def _stopping_helper():
+    """Stop the helper when the block raises, as a failed start, send or read does."""
+    try:
+        yield
+    except BaseException:
+        _stop_helper()
+        raise
+
+
+@contextlib.contextmanager
 def _logsynflow_in_helper(genome, config, seed, wanted):
     """Send the candidate's log-SynFlow pass to the helper process, if
     ``wanted`` on two or more usable CPUs while no other thread uses it, and
     yield ``reply()``: the pass's value, or None when the calling thread is
-    to run the pass.  An error the pass raised is raised by ``reply()``.
-
-    If the helper cannot be started, sent the request or read from, or the
-    block is left before its reply is read, it is stopped, and the next
-    candidate forks a fresh one."""
+    to run the pass; it raises the pass's error.  A reply the block leaves
+    unread (an entropic error, ^C) is read and dropped as it ends."""
     global _helper
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if not (wanted and cpus >= 2 and _helper_lock.acquire(blocking=False)):
         yield lambda: None
         return
-    sent = read = False
+    pending = False  # a request is sent whole and its reply not read
 
     def reply():
-        nonlocal read
-        if not sent:
-            return None
-        try:
-            value, error = _helper.conn.recv()
-        except Exception:  # noqa: BLE001 - died, or its reply does not unpickle
-            return None
-        read = True
+        nonlocal pending
+        value = error = None
+        if pending:
+            pending = False
+            with contextlib.suppress(Exception), _stopping_helper():
+                value, error = _helper.conn.recv()
         if error is not None:
             raise error
         return value
 
     try:
-        with contextlib.suppress(Exception):  # the calling thread runs the pass
+        with contextlib.suppress(Exception), _stopping_helper():
             if _helper is None:
                 _helper = _Helper()
             _helper.conn.send((genome, config, seed))
-            sent = True
-        yield reply
+            pending = True
+        try:
+            yield reply
+        finally:
+            with contextlib.suppress(Exception):  # an unread pass's error
+                reply()
     finally:
-        if not read:  # failed or abandoned: the next candidate forks afresh
-            _stop_helper()
         _helper_lock.release()
 
 
@@ -341,11 +350,10 @@ def score_genome(genome, config, cfg=None, base_seed=0, proxies=PROXIES):
             genome, config, seeds[-1],
             set(proxies) == set(PROXIES) and macs >= HELPER_MIN_MACS) as reply:
         if "entropic" in proxies:
-            entropic, per_repeat = entropic_score(structure, cfg, seeds[:-1],
-                                                  return_per_repeat=True)
+            entropic, per_repeat = entropic_score(structure, cfg, seeds[:-1])
         lsf = reply()
     if "logsynflow" in proxies and lsf is None:
-        lsf = logsynflow(netgraph.reinit(structure, seeds[-1]))
+        lsf = _logsynflow_pass(structure, seeds[-1])
     return ScoreReport(
         entropic=entropic,
         entropic_per_repeat=per_repeat,

@@ -99,14 +99,10 @@ def _zero_pad(x, pads):
     return out
 
 
-def _pad_hw(x, pad):
-    return _zero_pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-
-
 def _im2col(x, k, stride, pad):
     """The window columns of the padded input, (C*k*k, Ho*Wo), and Ho, Wo."""
     c, h, w = x.shape
-    xp = _pad_hw(x, pad)
+    xp = _zero_pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     ho, wo = _conv_out_hw(h, w, k, stride, pad)
     sc, sh, sw = xp.strides
     # win: (C, Ho, Wo, k, k), a read-only view of the padded input

@@ -87,7 +87,7 @@ def test_entropy_bound_on_100_genomes(tiny_config, attn_config):
             genome = random_genome(config, s)
             graph = netgraph.build_graph(genome, config, seed=s)
             n = len(prepare_for_scoring(graph).activation_taps)
-            score = entropic_score(graph, cfg, [3 * s, 3 * s + 1, 3 * s + 2])
+            score, _ = entropic_score(graph, cfg, [3 * s, 3 * s + 1, 3 * s + 2])
             assert 0.0 <= score <= n / math.e + 1e-6
             checked += 1
     assert checked == 100

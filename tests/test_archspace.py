@@ -420,7 +420,9 @@ class TestCounting:
                            (small_attn, 1246)):
             counts = {g.to_json(): archspace.count_params(g, cfg)
                       for g in enumerate_space(cfg)}
-            assert archspace.least_params(cfg) == min(counts.values()) == least
+            least_genome = archspace.least_genome(cfg)
+            assert archspace.count_params(least_genome, cfg) == min(
+                counts.values()) == least
         assert any('"type":"attn"' in g and n == 1246 for g, n in counts.items())
 
 

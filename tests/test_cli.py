@@ -71,6 +71,13 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def esnas_env():
+    """The environment of a subprocess that imports this checkout's esnas."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestScore:
     def test_score_prints_report(self, space_file, genome_file, capsys):
         code, out, err = run(["score", "--arch", str(genome_file),
@@ -187,9 +194,7 @@ class TestScore:
                   "code = cli.main()\n"
                   "print(metrics._helper.process.pid, file=sys.stderr)\n"
                   "sys.exit(code)\n")
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = esnas_env()
         done = subprocess.run(
             [sys.executable, "-c", script, "score", "--arch", str(genome_file),
              "--config", str(space_file)],
@@ -295,7 +300,10 @@ def test_bad_output_exits_2_naming_it_before_scoring(
         command, bad, nothing_scored, monkeypatch, capsys):
     # search counts its space's least genome to validate max_params, which
     # counts no candidate
-    monkeypatch.setattr(archspace, "least_params", lambda space: 0)
+    never, least = archspace.count_params, object()
+    monkeypatch.setattr(archspace, "least_genome", lambda space: least)
+    monkeypatch.setattr(archspace, "count_params", lambda genome, space: (
+        0 if genome is least else never(genome, space)))
     out, taken, named = BAD_OUTPUTS[command, bad]
     argv = _output_argv(command, tmp_path / out, tmp_path, space_file,
                         genome_file, search_config_file, tiny_config)
@@ -346,9 +354,7 @@ def test_unknown_log_level_exits_2_naming_it(genome_file, space_file,
         "accepted levels: DEBUG, INFO, WARNING, ERROR, CRITICAL"]
     # outside pytest the root logger has no handler yet, the case in which
     # logging.basicConfig itself would raise on the name
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, ESNAS_LOG="verbose", PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(esnas_env(), ESNAS_LOG="verbose")
     done = subprocess.run([sys.executable, "-m", "esnas.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
@@ -412,6 +418,10 @@ class TestSearch:
         history = [json.loads(line) for line in
                    (out_dir / "history.ndjson").read_text().splitlines()]
         assert history[-1]["event"] == "search_done"
+        events = [e["event"] for e in history]
+        assert (manifest["evaluations"], manifest["failed_evaluations"],
+                manifest["steps_skipped"]) == (
+            80, 0, events.count("step_skipped"))
 
     def test_out_naming_a_file_exits_2_naming_it(self, tmp_path,
                                                  search_config_file, capsys):
@@ -761,7 +771,7 @@ class TestSearch:
 
         monkeypatch.setattr(metrics, "score_genome", count_only)
         space = archspace.SearchSpaceConfig(input_resolution=16).validate()
-        least = archspace.least_params(space)
+        least = archspace.count_params(archspace.least_genome(space), space)
         assert least == 380_128
         budget = {"kind": "evaluations", "amount": 2}
         p = tmp_path / "search.json"
@@ -805,9 +815,8 @@ class TestSearch:
         p.write_text(json.dumps(self.FAILING_CONFIG))
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
-            with np.errstate(all="ignore"):
-                code, _, err = run(["search", "--config", str(p), "--budget-mode",
-                                    "evals", "--out", str(d)], capsys)
+            code, _, err = run(["search", "--config", str(p), "--budget-mode",
+                                "evals", "--out", str(d)], capsys)
             assert code == 0, err
             assert sorted(f.name for f in d.iterdir()) == [
                 "best_genome.json", "best_report.json", "history.ndjson",
@@ -826,6 +835,23 @@ class TestSearch:
             (dirs[0] / "best_genome.json").read_text())
         assert archspace.genome_hash(best) not in hashes
         assert history[-1]["event"] == "search_done"
+
+    def test_failed_evaluations_print_nothing_and_are_counted(self, tmp_path):
+        # numpy warned of each overflow on stderr, repeating what the
+        # history records, and a caller reading stderr took it for a fault
+        p = tmp_path / "search.json"
+        p.write_text(json.dumps(self.FAILING_CONFIG))
+        done = subprocess.run(
+            [sys.executable, "-m", "esnas.cli", "search", "--config", str(p),
+             "--budget-mode", "evals", "--out", str(tmp_path / "run")],
+            env=esnas_env(), capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        events = [json.loads(line)["event"] for line in
+                  (tmp_path / "run" / "history.ndjson").read_text().splitlines()]
+        assert manifest["evaluations"] == 16
+        assert manifest["failed_evaluations"] == events.count("eval_failed") > 0
+        assert manifest["steps_skipped"] == events.count("step_skipped")
 
     def test_any_other_scoring_error_exits_1(self, tmp_path, search_config_file,
                                              monkeypatch, capsys):
@@ -1463,9 +1489,7 @@ def test_import_loads_neither_scipy_stats_nor_scipy_special(
     """Importing the command line leaves scipy.stats and scipy.special, about
     1.3 s of start-up together, unloaded; and score, stats and an evals-mode
     search run where scipy cannot be imported at all."""
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = esnas_env()
     done = subprocess.run(
         [sys.executable, "-c", "import sys, esnas.cli; print(sorted(m for m in"
          " sys.modules if m.startswith(('scipy.stats', 'scipy.special'))))"],

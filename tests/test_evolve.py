@@ -261,18 +261,21 @@ class TestEvolutionStep:
 
     def test_draws_that_all_miss_take_the_least_genome(self, tiny_config,
                                                        monkeypatch):
-        least = archspace.least_params(tiny_config)
+        least = archspace.count_params(archspace.least_genome(tiny_config),
+                                       tiny_config)
         config = replace(tiny_config, max_params=least).validate()
         engine = SearchEngine(config, eval_schedule(), seed=0)
-        calls = []
-        least_genome = archspace.least_genome
-        monkeypatch.setattr(archspace, "least_genome",
-                            lambda c: calls.append(c) or least_genome(c))
+
+        def forbidden(config):
+            raise AssertionError("least genome laid out after construction")
+
+        monkeypatch.setattr(archspace, "least_genome", forbidden)
         state = engine.rng.bit_generator.state
         g = engine.random_feasible_genome(tries=0)
         assert engine.rng.bit_generator.state == state  # no draw was made
+        # the genome the max_params check counted
+        assert g is engine.least_genome
         assert engine.random_feasible_genome(tries=0) is g
-        assert calls == [config]  # computed once per engine
         assert archspace.validate(g, config) == []
         assert archspace.count_params(g, config) == least
 
@@ -493,7 +496,8 @@ class TestFailedEvaluation:
 
     def test_failed_least_genome_is_a_skipped_draw(self, tiny_config,
                                                    monkeypatch):
-        least = archspace.least_params(tiny_config)
+        least = archspace.count_params(archspace.least_genome(tiny_config),
+                                       tiny_config)
         config = replace(tiny_config, max_params=least).validate()
         engine = SearchEngine(config, eval_schedule(), seed=0)
         inject_failures(monkeypatch, lambda n: True)

@@ -162,7 +162,7 @@ class TestEntropicScore:
         x = b.unary("relu", x)
         g = Graph(b.nodes, b.input_shape, x, [1], b.shapes)
         cfg = EntropicConfig()
-        score = entropic_score(g, cfg, seeds=[0, 1, 2])
+        score, _ = entropic_score(g, cfg, seeds=[0, 1, 2])
         assert abs(score) < 1e-6
 
     def test_requires_matching_seed_count(self, tiny_config):
@@ -181,7 +181,7 @@ class TestEntropicScore:
             genome = random_genome(attn_config, s)
             g = netgraph.build_graph(genome, attn_config, seed=s)
             n = len(netgraph.prepare_for_scoring(g).activation_taps)
-            score = entropic_score(g, cfg, [s, s + 1, s + 2])
+            score, _ = entropic_score(g, cfg, [s, s + 1, s + 2])
             assert 0.0 <= score <= n / math.e + 1e-6
 
     def test_replay_oracle_and_sum_order(self, tiny_config):
@@ -193,7 +193,7 @@ class TestEntropicScore:
         graph = netgraph.build_graph(genome, tiny_config, seed=3)
         cfg = EntropicConfig()
         seeds = [11, 12, 13]
-        score = entropic_score(graph, cfg, seeds)
+        score, by_repeat = entropic_score(graph, cfg, seeds)
 
         per_repeat = []
         for seed in seeds:
@@ -204,6 +204,7 @@ class TestEntropicScore:
             terms = [entropy_reference(t, cfg.epsilon) for t in taps]
             random.Random(seed).shuffle(terms)  # order must not matter
             per_repeat.append(math.fsum(terms))
+        assert np.allclose(by_repeat, per_repeat, rtol=0, atol=1e-9)
         assert abs(score - sum(per_repeat) / len(per_repeat)) < 1e-9
 
     def test_repeat_holds_no_redrawn_graph(self):
@@ -393,8 +394,7 @@ class TestScoreGenome:
             genome = random_genome(attn_config, s)
             rep = score_genome(genome, attn_config, base_seed=s)
             graph = netgraph.build_graph(genome, attn_config, seed=rep.seeds[-1])
-            entropic, per_repeat = entropic_score(graph, cfg, rep.seeds[:-1],
-                                                  return_per_repeat=True)
+            entropic, per_repeat = entropic_score(graph, cfg, rep.seeds[:-1])
             assert rep.entropic == entropic
             assert rep.entropic_per_repeat == per_repeat
             assert rep.logsynflow == logsynflow(graph)
@@ -605,12 +605,31 @@ def recorded_helpers(monkeypatch):
     return helpers
 
 
+def recorded_pass_pids(monkeypatch, tmp_path):
+    """A function that lists the pid of each metrics._logsynflow_pass run
+    from now on, in a helper forked later too, in order."""
+    path = tmp_path / "pass-pids"
+    run = metrics._logsynflow_pass
+
+    def recording(structure, seed):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run(structure, seed)
+
+    monkeypatch.setattr(metrics, "_logsynflow_pass", recording)
+    return lambda: ([int(p) for p in path.read_text().split()]
+                    if path.exists() else [])
+
+
 class TestHelperThread:
     """score_genome's log-SynFlow pass in the helper process gives the
     serial path's reports and errors."""
 
-    def test_report_is_the_same_on_either_path(self, helper_thread):
+    def test_report_is_the_same_on_either_path(self, helper_thread,
+                                               monkeypatch, tmp_path):
+        """Both paths run the one pass, metrics._logsynflow_pass."""
         space, genomes = attention_genomes_64px(3)
+        pass_pids = recorded_pass_pids(monkeypatch, tmp_path)
         reports = {}
         for on in (False, True):
             in_helper = helper_thread(on)
@@ -618,6 +637,9 @@ class TestHelperThread:
                            for s, g in enumerate(genomes)]
             assert in_helper() == [on] * len(genomes)
         assert reports[True] == reports[False]
+        pids = pass_pids()
+        assert pids[:3] == [os.getpid()] * 3
+        assert pids[3:] == [metrics._helper.process.pid] * 3 != pids[:3]
 
     def test_logsynflow_error_reaches_the_caller_unchanged(
             self, helper_thread, monkeypatch):
@@ -767,30 +789,62 @@ class TestHelperThread:
         assert score_genome(genome, tiny_config).to_json() == expected
         assert in_helper() == [False, True]
 
-    def test_entropic_error_stops_the_helper(self, helper_thread,
-                                              monkeypatch):
-        """A candidate left before its reply is read stops the helper; the
-        next candidate forks a fresh one and gets the serial path's report."""
+    def test_entropic_error_keeps_the_helper(self, helper_thread,
+                                             monkeypatch, tmp_path):
+        """A candidate left before its reply is read, by a failed entropic
+        repeat or ^C, has the reply read and dropped: the next candidate's
+        pass runs in the same helper process, with the serial report."""
         space, genomes = attention_genomes_64px(2)
         helper_thread(False)
         expected = score_genome(genomes[1], space).to_json()
         entropy = metrics.layer_entropy
-        failures = [ValueError("entropic repeat failed")]
+        failures = [KeyboardInterrupt(), FloatingPointError("non-finite")]
 
-        def fails_once(*args):
+        def fails_twice(*args):
             if failures:
                 raise failures.pop()
             return entropy(*args)
 
-        monkeypatch.setattr(metrics, "layer_entropy", fails_once)
+        monkeypatch.setattr(metrics, "layer_entropy", fails_twice)
+        pass_pids = recorded_pass_pids(monkeypatch, tmp_path)
+        in_helper = helper_thread(True)
+        helpers = recorded_helpers(monkeypatch)
+        for error in (FloatingPointError, KeyboardInterrupt):
+            with pytest.raises(error):
+                score_genome(genomes[0], space)
+        helper = metrics._helper
+        assert helpers == [helper] and helper.process.is_alive()
+        assert score_genome(genomes[1], space).to_json() == expected
+        assert metrics._helper is helper and helpers == [helper]
+        assert pass_pids() == [helper.process.pid] * 3
+        assert in_helper() == [True] * 3
+
+    def test_interrupt_while_dropping_a_reply_stops_the_helper(
+            self, helper_thread, monkeypatch):
+        """A second ^C, while the reply left by the first is read, stops
+        the helper and still releases it to the next caller."""
+        space, (genome,) = attention_genomes_64px(1)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
         helper_thread(True)
         helpers = recorded_helpers(monkeypatch)
-        with pytest.raises(ValueError, match="entropic repeat failed"):
-            score_genome(genomes[0], space)
+        start = metrics._Helper
+
+        def interrupted_read():
+            helper = start()
+            helper.conn.recv = interrupted
+            return helper
+
+        monkeypatch.setattr(metrics, "_Helper", interrupted_read)
+        monkeypatch.setattr(metrics, "layer_entropy", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            score_genome(genome, space)
         assert metrics._helper is None
-        assert helpers[0].process.exitcode == 0
-        assert score_genome(genomes[1], space).to_json() == expected
-        assert metrics._helper is helpers[1]
+        assert helpers[0].process.exitcode == 0 and helpers[0].conn.closed
+        assert metrics._helper_lock.acquire(blocking=False)
+        metrics._helper_lock.release()
 
     def test_error_that_does_not_pickle_is_raised_as_serially(
             self, helper_thread, monkeypatch, capfd):
